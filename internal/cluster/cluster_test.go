@@ -294,6 +294,14 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if _, err := Run(c, constLoad{dur: 10, util: 1}, RunOptions{SamplePeriod: -1}); err == nil {
 		t.Error("negative sample period accepted")
 	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := Run(c, constLoad{dur: 10, util: 1}, RunOptions{SamplePeriod: bad}); err == nil {
+			t.Errorf("sample period %v accepted", bad)
+		}
+		if _, err := Run(c, constLoad{dur: bad, util: 1}, RunOptions{}); err == nil {
+			t.Errorf("duration %v accepted", bad)
+		}
+	}
 	if _, err := Run(c, constLoad{dur: 10, util: 1}, RunOptions{MaxSamples: 2}); err == nil {
 		t.Error("tiny MaxSamples accepted")
 	}

@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"errors"
-
-	"nodevar/internal/power"
-	"nodevar/internal/sim"
-)
+import "nodevar/internal/power"
 
 // PerNodeLoad is a workload whose utilization differs across nodes —
 // data-dependent applications, stragglers, partially idle partitions.
@@ -36,20 +31,12 @@ func RunPerNode(c *Cluster, load PerNodeLoad, opts RunOptions) (*PerNodeResult, 
 	if err := opts.fill(); err != nil {
 		return nil, err
 	}
-	duration := load.CoreDuration()
-	if s, ok := load.(spanner); ok {
-		duration = s.TotalDuration()
+	duration := loadSpan(load)
+	grid, err := tickGrid(duration, opts)
+	if err != nil {
+		return nil, err
 	}
-	if duration <= 0 {
-		return nil, errors.New("cluster: workload has non-positive core duration")
-	}
-	dt := opts.SamplePeriod
-	// Per-node simulation is O(N) per tick; keep the default tick budget
-	// modest.
-	maxTicks := opts.MaxSamples
-	if steps := duration / dt; steps > float64(maxTicks-1) {
-		dt = duration / float64(maxTicks-1)
-	}
+	dt := grid.Period
 
 	m := &c.Model
 	n := c.N()
@@ -64,11 +51,9 @@ func RunPerNode(c *Cluster, load PerNodeLoad, opts RunOptions) (*PerNodeResult, 
 	}
 	nodeEnergy := make([]float64, n) // DC watt-seconds per node
 	var intTime float64
-	var samples []power.Sample
+	samples := make([]power.Sample, 0, grid.N+1)
 
-	var eng sim.Engine
-	step := func(e *sim.Engine) {
-		t := e.Now()
+	step := func(t float64) {
 		if opts.Governor != nil {
 			dynFact = opts.Governor.OperatingAt(t).DynamicFactor()
 		}
@@ -102,12 +87,11 @@ func RunPerNode(c *Cluster, load PerNodeLoad, opts RunOptions) (*PerNodeResult, 
 			intTime += dtEff
 		}
 	}
-	eng.Every(0, dt, func(now float64) bool { return now <= duration }, step)
-	eng.Run()
-
-	if last := samples[len(samples)-1]; last.Time < duration {
-		samples = append(samples, power.Sample{Time: duration, Power: last.Power})
+	for i := 0; i < grid.N; i++ {
+		step(grid.At(i))
 	}
+	step(duration)
+
 	tr, err := power.NewTrace(samples)
 	if err != nil {
 		return nil, err

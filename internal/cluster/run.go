@@ -8,7 +8,6 @@ import (
 
 	"nodevar/internal/obs"
 	"nodevar/internal/power"
-	"nodevar/internal/sim"
 )
 
 // Simulator metrics: one batched add per run / subset-trace request.
@@ -54,8 +53,8 @@ func (o *RunOptions) fill() error {
 	if o.SamplePeriod == 0 {
 		o.SamplePeriod = 1
 	}
-	if o.SamplePeriod < 0 {
-		return errors.New("cluster: SamplePeriod must be positive")
+	if !(o.SamplePeriod > 0) || math.IsInf(o.SamplePeriod, 1) {
+		return errors.New("cluster: SamplePeriod must be positive and finite")
 	}
 	if o.MaxSamples == 0 {
 		o.MaxSamples = 200000
@@ -98,11 +97,27 @@ type spanner interface {
 
 // loadSpan returns the simulation span for a load: its TotalDuration
 // when it distinguishes one, else its core duration.
-func loadSpan(load Load) float64 {
+func loadSpan(load interface{ CoreDuration() float64 }) float64 {
 	if s, ok := load.(spanner); ok {
 		return s.TotalDuration()
 	}
 	return load.CoreDuration()
+}
+
+// tickGrid returns the simulation ticks over [0, duration): every
+// SamplePeriod, with the period stretched so the ticks plus the final
+// tick at exactly duration number at most MaxSamples. Both simulators
+// step through the grid, then step once more at duration, so the last
+// sample of every run sits at exactly its end.
+func tickGrid(duration float64, opts RunOptions) (power.Grid, error) {
+	if !(duration > 0) || math.IsInf(duration, 1) {
+		return power.Grid{}, fmt.Errorf("cluster: workload duration %v is not positive and finite", duration)
+	}
+	dt := opts.SamplePeriod
+	if steps := duration / dt; steps > float64(opts.MaxSamples-1) {
+		dt = duration / float64(opts.MaxSamples-1)
+	}
+	return power.NewGrid(0, duration, dt), nil
 }
 
 // Run simulates the workload's full span on the cluster (the core phase
@@ -112,13 +127,11 @@ func Run(c *Cluster, load Load, opts RunOptions) (*RunResult, error) {
 		return nil, err
 	}
 	duration := loadSpan(load)
-	if duration <= 0 {
-		return nil, errors.New("cluster: workload has non-positive core duration")
+	grid, err := tickGrid(duration, opts)
+	if err != nil {
+		return nil, err
 	}
-	dt := opts.SamplePeriod
-	if steps := duration / dt; steps > float64(opts.MaxSamples-1) {
-		dt = duration / float64(opts.MaxSamples-1)
-	}
+	dt := grid.Period
 
 	res := &RunResult{Cluster: c, Duration: duration}
 	m := &c.Model
@@ -130,12 +143,10 @@ func Run(c *Cluster, load Load, opts RunOptions) (*RunResult, error) {
 	}
 	dynFact := opts.Operating.DynamicFactor()
 
-	var eng sim.Engine
-	samples := make([]power.Sample, 0, int(duration/dt)+2)
+	samples := make([]power.Sample, 0, grid.N+1)
 	var intThermal, intUtilDyn, intFan, intTime float64
 
-	step := func(e *sim.Engine) {
-		t := e.Now()
+	step := func(t float64) {
 		util := load.Utilization(t)
 		if util < 0 {
 			util = 0
@@ -175,29 +186,11 @@ func Run(c *Cluster, load Load, opts RunOptions) (*RunResult, error) {
 		decay := 1 - expNeg(dtEff/m.ThermalTau)
 		tempRise += (steady - tempRise) * decay
 	}
-	eng.Every(0, dt, func(now float64) bool { return now <= duration }, step)
-	eng.Run()
-
-	// Ensure both the system trace and the per-node tick state extend to
-	// exactly the core-phase end.
-	if last := samples[len(samples)-1]; last.Time < duration {
-		util := load.Utilization(duration - 1e-9)
-		if util < 0 {
-			util = 0
-		}
-		if util > 1 {
-			util = 1
-		}
-		st := state{util: util, tempRise: tempRise, dynFact: dynFact}
-		samples = append(samples, power.Sample{
-			Time:  duration,
-			Power: power.Watts(c.systemWallPower(st)),
-		})
-		res.times = append(res.times, duration)
-		res.thermal = append(res.thermal, 1+m.LeakagePerDegree*tempRise)
-		res.utilDyn = append(res.utilDyn, util*dynFact)
-		res.fan = append(res.fan, float64(m.Fan.Power(c.Ambient+tempRise)))
+	for i := 0; i < grid.N; i++ {
+		step(grid.At(i))
 	}
+	step(duration)
+
 	tr, err := power.NewTrace(samples)
 	if err != nil {
 		return nil, err

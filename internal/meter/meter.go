@@ -144,24 +144,14 @@ func checkWindow(tr *power.Trace, a, b float64) error {
 	return nil
 }
 
-// gridSize returns how many samples the grid a + i*period places in
-// [a, b): the largest n with a + (n-1)*period < b - eps, where eps is a
-// fraction of one period so a final grid point landing within epsilon of
-// b is deferred to the explicit endpoint sample instead of duplicated.
-func gridSize(a, b, period float64) (int, error) {
+// grid returns the sampling grid a + i*period over [a, b) (see
+// power.NewGrid), refusing windows that would exceed maxMeasureSamples.
+func grid(a, b, period float64) (power.Grid, error) {
 	span := b - a
 	if steps := span / period; !(steps < maxMeasureSamples) {
-		return 0, fmt.Errorf("meter: window %v at period %v exceeds %d samples", span, period, maxMeasureSamples)
+		return power.Grid{}, fmt.Errorf("meter: window %v at period %v exceeds %d samples", span, period, maxMeasureSamples)
 	}
-	eps := period * 1e-9
-	n := int(span/period) + 1
-	for a+float64(n)*period < b-eps {
-		n++
-	}
-	for n > 1 && a+float64(n-1)*period >= b-eps {
-		n--
-	}
-	return n, nil
+	return power.NewGrid(a, b, period), nil
 }
 
 // Measure samples the true trace over [a, b] at the instrument's period
@@ -175,15 +165,14 @@ func (m *Meter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) {
 	if err := checkWindow(tr, a, b); err != nil {
 		return nil, err
 	}
-	period := m.spec.SamplePeriod
-	n, err := gridSize(a, b, period)
+	g, err := grid(a, b, m.spec.SamplePeriod)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]power.Sample, 0, n+1)
+	out := make([]power.Sample, 0, g.N+1)
 	cur := tr.Cursor() // sample times only increase, so read sequentially
-	for i := 0; i < n; i++ {
-		x := a + float64(i)*period
+	for i := 0; i < g.N; i++ {
+		x := g.At(i)
 		out = append(out, power.Sample{Time: x, Power: m.reading(cur.At(x))})
 	}
 	out = append(out, power.Sample{Time: b, Power: m.reading(cur.At(b))})
@@ -224,53 +213,6 @@ type Instrument interface {
 	AveragePower(tr *power.Trace, a, b float64) (power.Watts, error)
 }
 
-// Pool is a set of instruments measuring disjoint parts of a system whose
-// readings are summed, as when several PDUs feed one measurement (the
-// distributed metering that SPEC-style single-meter rules cannot cover).
-type Pool struct {
-	meters []*Meter
-}
-
-// NewPool draws n instruments from the spec.
-func NewPool(n int, spec Spec, r *rng.Rand) (*Pool, error) {
-	if n <= 0 {
-		return nil, errors.New("meter: pool needs at least one instrument")
-	}
-	p := &Pool{meters: make([]*Meter, n)}
-	for i := range p.meters {
-		m, err := New(spec, r)
-		if err != nil {
-			return nil, err
-		}
-		p.meters[i] = m
-	}
-	return p, nil
-}
-
-// Size returns the number of instruments.
-func (p *Pool) Size() int { return len(p.meters) }
-
-// Meter returns the i-th instrument.
-func (p *Pool) Meter(i int) *Meter { return p.meters[i] }
-
-// AverageSum measures each trace with the corresponding instrument over
-// [a, b] and returns the summed average power. len(traces) must equal the
-// pool size.
-func (p *Pool) AverageSum(traces []*power.Trace, a, b float64) (power.Watts, error) {
-	if len(traces) != len(p.meters) {
-		return 0, fmt.Errorf("meter: %d traces for %d instruments", len(traces), len(p.meters))
-	}
-	var sum power.Watts
-	for i, tr := range traces {
-		v, err := p.meters[i].AveragePower(tr, a, b)
-		if err != nil {
-			return 0, err
-		}
-		sum += v
-	}
-	return sum, nil
-}
-
 // PoolCompleteness reports how much of a distributed measurement's data
 // actually arrived: which instruments failed and the fraction that
 // succeeded.
@@ -295,9 +237,8 @@ func (c PoolCompleteness) Complete() bool { return c.Failed == 0 }
 // anything below 1 as a degraded measurement. It fails only when no
 // instrument delivers, or on a trace-count mismatch.
 //
-// With a fault-free pool the result is bit-identical to AverageSum: the
-// scale factor is exactly 1 and the same readings are summed in the
-// same order.
+// With no failures the scale factor is exactly 1, so the result is the
+// plain in-order sum of the readings.
 func AverageSumBestEffort(insts []Instrument, traces []*power.Trace, a, b float64) (power.Watts, PoolCompleteness, error) {
 	comp := PoolCompleteness{Instruments: len(insts)}
 	if len(traces) != len(insts) {
@@ -325,14 +266,4 @@ func AverageSumBestEffort(insts []Instrument, traces []*power.Trace, a, b float6
 		sum = power.Watts(float64(sum) * float64(len(insts)) / float64(ok))
 	}
 	return sum, comp, nil
-}
-
-// Instruments returns the pool's meters as the Instrument interface, for
-// wrapping with fault injectors.
-func (p *Pool) Instruments() []Instrument {
-	out := make([]Instrument, len(p.meters))
-	for i, m := range p.meters {
-		out[i] = m
-	}
-	return out
 }

@@ -176,22 +176,21 @@ func (m *WindowedMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, er
 		return nil, err
 	}
 	start := a + m.phase
-	n := 0
+	var g power.Grid
 	if start <= b {
-		g, err := gridSize(start, b, m.spec.Period)
-		if err != nil {
+		var err error
+		if g, err = grid(start, b, m.spec.Period); err != nil {
 			return nil, err
 		}
-		n = g
-		// gridSize places samples in [start, b); a final read exactly at b
-		// is legitimate here (there is no separate endpoint sample), so
+		// The grid covers [start, b); a final read exactly at b is
+		// legitimate here (there is no separate endpoint sample), so
 		// extend the grid when it lands within epsilon of b.
-		if start+float64(n)*m.spec.Period <= b+m.spec.Period*1e-9 {
-			n++
+		if g.At(g.N) <= b+m.spec.Period*1e-9 {
+			g.N++
 		}
 	}
-	out := make([]power.Sample, 0, n+2)
-	if n == 0 || start > a {
+	out := make([]power.Sample, 0, g.N+2)
+	if g.N == 0 || start > a {
 		// The grid missed the window head (or the window entirely):
 		// anchor the reported trace with a boundary read at a.
 		v, err := m.read(tr, a)
@@ -200,8 +199,8 @@ func (m *WindowedMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, er
 		}
 		out = append(out, power.Sample{Time: a, Power: v})
 	}
-	for i := 0; i < n; i++ {
-		x := start + float64(i)*m.spec.Period
+	for i := 0; i < g.N; i++ {
+		x := g.At(i)
 		if x > b {
 			break
 		}
@@ -326,17 +325,17 @@ func (m *OCCMeter) buckets(tr *power.Trace, a, b float64) ([]bucket, error) {
 	if err := checkWindow(tr, a, b); err != nil {
 		return nil, err
 	}
-	n, err := gridSize(a, b, m.spec.BucketSeconds)
+	g, err := grid(a, b, m.spec.BucketSeconds)
 	if err != nil {
 		return nil, err
 	}
-	// Grid points a + i*B for i in [0, n) plus the endpoint b bound the
+	// Grid points a + i*B for i in [0, N) plus the endpoint b bound the
 	// buckets; the final (possibly partial) bucket always ends at b.
-	out := make([]bucket, 0, n)
-	for i := 0; i < n; i++ {
-		lo := a + float64(i)*m.spec.BucketSeconds
+	out := make([]bucket, 0, g.N)
+	for i := 0; i < g.N; i++ {
+		lo := g.At(i)
 		hi := lo + m.spec.BucketSeconds
-		if i == n-1 || hi > b {
+		if i == g.N-1 || hi > b {
 			hi = b
 		}
 		avg, err := tr.AverageBetween(lo, hi)

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,19 +24,34 @@ func TestForCtxCanceledBeforeStart(t *testing.T) {
 	}
 }
 
+// cancelAtFirstIndex wraps body so the run is canceled deterministically
+// mid-way: index 0 (the first index of the first claimed chunk) cancels,
+// and every other index waits for that cancellation before running. No
+// chunk but the first can finish before the cancel, so each worker holds
+// at most one chunk when it lands and the remaining chunks are never
+// claimed. Cancelling from whichever call came Nth is not enough: under
+// CPU load the cancelling worker can be preempted before cancel() while
+// the others run every remaining chunk.
+func cancelAtFirstIndex(ctx context.Context, cancel context.CancelFunc, body func(i int)) func(i int) {
+	return func(i int) {
+		if i == 0 {
+			cancel()
+		} else {
+			<-ctx.Done()
+		}
+		body(i)
+	}
+}
+
 func TestForCtxCancelMidRunNeverTearsChunks(t *testing.T) {
 	// Cancel partway through; every index either ran exactly once or not
 	// at all, and whole chunks are the unit — a started chunk finishes.
 	const n = 10000
 	ctx, cancel := context.WithCancel(context.Background())
 	var counts [n]int64
-	var seen atomic.Int64
-	err := ForCtx(ctx, n, func(i int) {
-		if seen.Add(1) == 50 {
-			cancel()
-		}
+	err := ForCtx(ctx, n, cancelAtFirstIndex(ctx, cancel, func(i int) {
 		atomic.AddInt64(&counts[i], 1)
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -103,6 +119,14 @@ func TestWorkerPanicCountsMetricAndAborts(t *testing.T) {
 		if i == 0 {
 			panic("first item dies")
 		}
+		// Hold every other item until the panic is recorded, which exec
+		// does only after raising its abort flag: at most the items
+		// already claimed by the other workers then run. Without the
+		// wait, a worker preempted inside the recover let the others
+		// run all 63 items under CPU load.
+		for mParPanics.Value() == before {
+			runtime.Gosched()
+		}
 		after.Add(1)
 	})
 	var pe *PanicError
@@ -166,11 +190,9 @@ func TestMetricsFlushedOnErrorPaths(t *testing.T) {
 func TestMapCtxPartialOnCancel(t *testing.T) {
 	const n = 8192
 	ctx, cancel := context.WithCancel(context.Background())
-	var seen atomic.Int64
+	gate := cancelAtFirstIndex(ctx, cancel, func(int) {})
 	out, err := MapCtx(ctx, n, func(i int) float64 {
-		if seen.Add(1) == 20 {
-			cancel()
-		}
+		gate(i)
 		return float64(i) + 1 // never zero, so written entries are detectable
 	})
 	if !errors.Is(err, context.Canceled) {

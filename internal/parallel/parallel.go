@@ -130,10 +130,12 @@ func exec(ctx context.Context, items, workers int, ranges []Range, body func(ci 
 	runRange := func(ci int) {
 		defer func() {
 			if v := recover(); v != nil {
-				mParPanics.Inc()
+				// Abort first: capturing the stack is slow, and other
+				// workers keep claiming ranges until the flag is up.
+				aborted.Store(true)
 				pe := &PanicError{Value: v, Stack: debug.Stack()}
 				panicOnce.Do(func() { pErr = pe })
-				aborted.Store(true)
+				mParPanics.Inc()
 			}
 		}()
 		// Inside a traced request each claimed range gets its own span
@@ -278,25 +280,6 @@ func ForDynamicCtx(ctx context.Context, n int, body func(i int)) error {
 		ranges[i] = Range{Lo: i, Hi: i + 1}
 	}
 	return exec(ctx, n, Workers(n), ranges, func(_ int, r Range) { body(r.Lo) })
-}
-
-// ForSeeded runs body(i, r) for every i in [0, n), where each worker chunk
-// receives its own RNG split deterministically from parent. The assignment
-// of streams to chunks is fixed by (n, GOMAXPROCS at call time); for
-// GOMAXPROCS-independent determinism use ForSeededChunks with a fixed chunk
-// count.
-func ForSeeded(n int, parent *rng.Rand, body func(i int, r *rng.Rand)) {
-	if n <= 0 {
-		return
-	}
-	ranges := SplitRange(n, Workers(n))
-	streams := ChunkStreams(parent, len(ranges))
-	must(exec(context.Background(), n, Workers(n), ranges, func(ci int, r Range) {
-		s := streams[ci]
-		for i := r.Lo; i < r.Hi; i++ {
-			body(i, s)
-		}
-	}))
 }
 
 // ChunkStreams derives one child RNG stream per chunk from parent, in

@@ -89,20 +89,6 @@ func TestForChunkedCoverage(t *testing.T) {
 	}
 }
 
-func TestForSeededCoverage(t *testing.T) {
-	const n = 100
-	var counts [n]int64
-	ForSeeded(n, rng.New(1), func(i int, r *rng.Rand) {
-		_ = r.Float64()
-		atomic.AddInt64(&counts[i], 1)
-	})
-	for i, c := range counts {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times", i, c)
-		}
-	}
-}
-
 func TestForSeededChunksDeterministic(t *testing.T) {
 	// Same n, chunks and seed must give bit-identical output regardless of
 	// scheduling, because each chunk owns its stream and output range.

@@ -165,23 +165,6 @@ func TestSliceExact(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	tr := rampTrace(t)
-	rs := tr.Resample(10)
-	if rs.Start() != 0 || rs.End() != 100 {
-		t.Errorf("resampled span [%v, %v]", rs.Start(), rs.End())
-	}
-	if rs.Len() != 11 {
-		t.Errorf("resampled Len = %d, want 11", rs.Len())
-	}
-	// A linear signal resamples exactly.
-	a1, _ := tr.Average()
-	a2, _ := rs.Average()
-	if math.Abs(float64(a1-a2)) > 1e-9 {
-		t.Errorf("resample changed average: %v vs %v", a1, a2)
-	}
-}
-
 func TestScale(t *testing.T) {
 	tr := rampTrace(t)
 	scaled := tr.Scale(64)

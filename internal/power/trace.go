@@ -16,10 +16,10 @@ import (
 // per sample; the reported total is therefore a slight undercount (up to
 // cursorReadFlush-1 per cursor).
 var (
-	mIndexBuilds  = obs.NewCounter("power.trace.index_builds")
-	mAtSlowReads  = obs.NewCounter("power.trace.at_slowpath_reads")
-	mCursors      = obs.NewCounter("power.trace.cursors")
-	mCursorReads  = obs.NewCounter("power.trace.cursor_fastpath_reads")
+	mIndexBuilds = obs.NewCounter("power.trace.index_builds")
+	mAtSlowReads = obs.NewCounter("power.trace.at_slowpath_reads")
+	mCursors     = obs.NewCounter("power.trace.cursors")
+	mCursorReads = obs.NewCounter("power.trace.cursor_fastpath_reads")
 )
 
 // cursorReadFlush is the cursor-read batch size (a power of two so the
@@ -321,25 +321,6 @@ func (t *Trace) Slice(a, b float64) (*Trace, error) {
 		out = append(out, Sample{Time: b, Power: t.At(b)})
 	}
 	return NewTrace(out)
-}
-
-// Resample returns a new trace sampled at the given period starting at
-// Start(), always including the final time End(). It panics if period <= 0.
-func (t *Trace) Resample(period float64) *Trace {
-	if period <= 0 {
-		panic("power: Resample requires period > 0")
-	}
-	var out []Sample
-	for x := t.Start(); x < t.End(); x += period {
-		out = append(out, Sample{Time: x, Power: t.At(x)})
-	}
-	out = append(out, Sample{Time: t.End(), Power: t.At(t.End())})
-	nt, err := NewTrace(out)
-	if err != nil {
-		// Unreachable: construction above is strictly increasing.
-		panic(err)
-	}
-	return nt
 }
 
 // Scale returns a new trace with every power value multiplied by factor,

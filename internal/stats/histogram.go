@@ -117,48 +117,3 @@ func FreedmanDiaconisBins(xs []float64) int {
 	}
 	return bins
 }
-
-// AutoHistogram bins xs using the Freedman-Diaconis rule.
-func AutoHistogram(xs []float64) *Histogram {
-	return NewHistogram(xs, FreedmanDiaconisBins(xs))
-}
-
-// ECDF is an empirical cumulative distribution function.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from xs (copied and sorted). It panics if xs is
-// empty.
-func NewECDF(xs []float64) *ECDF {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// At returns the fraction of observations <= x.
-func (e *ECDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(e.sorted, x)
-	// SearchFloat64s returns the first index with sorted[i] >= x; advance
-	// past equal values so the ECDF is right-continuous with P(X <= x).
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the p-quantile of the empirical distribution using
-// linear interpolation.
-func (e *ECDF) Quantile(p float64) float64 {
-	return QuantileSorted(e.sorted, p)
-}
-
-// N returns the number of observations.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Values returns the sorted observations (shared storage; do not modify).
-func (e *ECDF) Values() []float64 { return e.sorted }
