@@ -21,7 +21,7 @@
 //	nodevard                              # listen on :8080
 //	nodevard -addr 127.0.0.1:0            # ephemeral port (printed on stdout)
 //	nodevard -max-concurrent 128 -request-timeout 2m
-//	nodevard -manifest-dir ./manifests    # one run record per coverage study
+//	nodevard -manifest-dir ./manifests    # one run record per computed study
 //	nodevard -role=worker -addr :9090     # coverage compute worker
 //	nodevard -workers http://h1:9090,http://h2:9090   # frontend over a fleet
 //
@@ -63,7 +63,7 @@ func realMain() int {
 		maxPopulation = flag.Int("max-population", 1_000_000_000, "sanity cap on the /v1/coverage simulated machine size (the count-based study never materializes it)")
 		maxDistNodes  = flag.Int("max-distortion-nodes", 256, "largest simulated cluster a /v1/distortion meter study may ask for (one power trace per node)")
 		cacheEntries  = flag.Int("cache-entries", 128, "completed coverage results kept in memory")
-		manifestDir   = flag.String("manifest-dir", "", "write one manifest-v3 run record per computed coverage study here")
+		manifestDir   = flag.String("manifest-dir", "", "write one manifest-v3 run record per computed study here")
 		traceRing     = flag.Int("trace-ring", 256, "recent request traces retained for GET /v1/trace/{id}; 0 disables request tracing")
 		runtimeSample = flag.Duration("runtime-sample", 10*time.Second, "background runtime gauge sampling interval; 0 samples only on /metrics scrapes")
 		sloObjective  = flag.Float64("slo-objective", 0.99, "per-endpoint SLO success-fraction objective behind the error-budget readiness check")

@@ -42,7 +42,7 @@ func TestRunCtxRecoversWorkerPanic(t *testing.T) {
 	// RunCtx converts it to an error that still unwraps to the
 	// PanicError with its worker stack.
 	withTestRunner(t, "panic-worker", func(ctx context.Context, o Options) (Result, error) {
-		parallel.For(64, func(i int) {
+		parallel.ForDynamic(64, func(i int) {
 			if i == 13 {
 				panic("worker explosion")
 			}

@@ -289,7 +289,7 @@ func (f *Frontend) dispatch(ctx context.Context, addr string, cfg sampling.Cover
 				lastCk = fr.Checkpoint
 			}
 		case FrameResult:
-			return ToPoints(fr.Points), fr.Cached, lastCk, nil
+			return fr.Points, fr.Cached, lastCk, nil
 		case FrameError:
 			return nil, false, lastCk, fmt.Errorf("dist: worker %s reported: %s", addr, fr.Error)
 		default:

@@ -89,54 +89,12 @@ type Frame struct {
 	// study byte-identically.
 	Checkpoint []byte `json:"checkpoint,omitempty"`
 	// Points is the final study output on result frames.
-	Points []Point `json:"points,omitempty"`
+	Points []sampling.CoveragePoint `json:"points,omitempty"`
 	// Cached marks a result replayed from the worker's idempotent
 	// completed-job cache rather than recomputed.
 	Cached bool `json:"cached,omitempty"`
 	// Error carries the failure on error frames.
 	Error string `json:"error,omitempty"`
-}
-
-// Point mirrors sampling.CoveragePoint with stable JSON field names.
-// float64 values survive the JSON round trip exactly (Go emits the
-// shortest representation that parses back to the same bits), which is
-// what keeps remote results Float64bits-identical to local ones.
-type Point struct {
-	SampleSize   int     `json:"n"`
-	Level        float64 `json:"level"`
-	Coverage     float64 `json:"coverage"`
-	MeanRelWidth float64 `json:"mean_rel_width"`
-	Replicates   int     `json:"replicates"`
-}
-
-// ToPoints converts wire points to sampling points.
-func ToPoints(ps []Point) []sampling.CoveragePoint {
-	out := make([]sampling.CoveragePoint, len(ps))
-	for i, p := range ps {
-		out[i] = sampling.CoveragePoint{
-			SampleSize:   p.SampleSize,
-			Level:        p.Level,
-			Coverage:     p.Coverage,
-			MeanRelWidth: p.MeanRelWidth,
-			Replicates:   p.Replicates,
-		}
-	}
-	return out
-}
-
-// FromPoints converts sampling points to wire points.
-func FromPoints(ps []sampling.CoveragePoint) []Point {
-	out := make([]Point, len(ps))
-	for i, p := range ps {
-		out[i] = Point{
-			SampleSize:   p.SampleSize,
-			Level:        p.Level,
-			Coverage:     p.Coverage,
-			MeanRelWidth: p.MeanRelWidth,
-			Replicates:   p.Replicates,
-		}
-	}
-	return out
 }
 
 // NewJobRequest builds the envelope for cfg with the given resume state.

@@ -179,9 +179,9 @@ func TestPointJSONPreservesFloat64Bits(t *testing.T) {
 	// byte-identical failover guarantee.
 	vals := []float64{0.1, 2.0 / 3.0, math.Pi, 5e-324, math.MaxFloat64, 1e-308, 0.49999999999999994}
 	for _, v := range vals {
-		p := Point{Level: v, Coverage: v / 3, MeanRelWidth: v * 0.7}
+		p := sampling.CoveragePoint{Level: v, Coverage: v / 3, MeanRelWidth: v * 0.7}
 		b := mustMarshal(t, p)
-		var got Point
+		var got sampling.CoveragePoint
 		if err := json.Unmarshal(b, &got); err != nil {
 			t.Fatal(err)
 		}

@@ -58,8 +58,8 @@ type Worker struct {
 	sem chan struct{}
 
 	mu    sync.Mutex
-	done  map[string][]Point // JobID -> completed points
-	order []string           // FIFO eviction order
+	done  map[string][]sampling.CoveragePoint // JobID -> completed points
+	order []string                            // FIFO eviction order
 }
 
 // NewWorker builds a Worker, applying defaults.
@@ -80,7 +80,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		cfg:  cfg,
 		log:  cfg.Log,
 		sem:  make(chan struct{}, cfg.MaxConcurrent),
-		done: map[string][]Point{},
+		done: map[string][]sampling.CoveragePoint{},
 	}
 }
 
@@ -98,7 +98,7 @@ func (w *Worker) Handler() http.Handler {
 }
 
 // cached looks up a completed job.
-func (w *Worker) cached(jobID string) ([]Point, bool) {
+func (w *Worker) cached(jobID string) ([]sampling.CoveragePoint, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	pts, ok := w.done[jobID]
@@ -106,7 +106,7 @@ func (w *Worker) cached(jobID string) ([]Point, bool) {
 }
 
 // remember stores a completed job, evicting the oldest past the cap.
-func (w *Worker) remember(jobID string, pts []Point) {
+func (w *Worker) remember(jobID string, pts []sampling.CoveragePoint) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if _, ok := w.done[jobID]; ok {
@@ -209,8 +209,7 @@ func (w *Worker) handleCoverage(rw http.ResponseWriter, r *http.Request) {
 		writeFrame(Frame{Type: FrameError, Error: err.Error()})
 		return
 	}
-	pts := FromPoints(points)
-	w.remember(job.JobID, pts)
-	writeFrame(Frame{Type: FrameResult, Points: pts})
+	w.remember(job.JobID, points)
+	writeFrame(Frame{Type: FrameResult, Points: points})
 	w.log.Info("dist worker: job done", "job", job.JobID)
 }

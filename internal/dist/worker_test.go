@@ -85,7 +85,7 @@ func TestWorkerStreamsCheckpointsAndResult(t *testing.T) {
 	if final.Cached {
 		t.Fatal("first run claims to be cached")
 	}
-	got := ToPoints(final.Points)
+	got := final.Points
 	if len(got) != len(want) {
 		t.Fatalf("%d points, want %d", len(got), len(want))
 	}
@@ -141,7 +141,7 @@ func TestWorkerResumesFromEnvelope(t *testing.T) {
 	if final.Type != FrameResult {
 		t.Fatalf("last frame %+v, want result", final)
 	}
-	got := ToPoints(final.Points)
+	got := final.Points
 	for i := range want {
 		if math.Float64bits(got[i].Coverage) != math.Float64bits(want[i].Coverage) ||
 			math.Float64bits(got[i].MeanRelWidth) != math.Float64bits(want[i].MeanRelWidth) {

@@ -11,13 +11,16 @@ import (
 	"nodevar/internal/rng"
 )
 
-func TestForCtxCanceledBeforeStart(t *testing.T) {
+func TestForRangesCtxCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls int64
-	err := ForCtx(ctx, 1000, func(i int) { atomic.AddInt64(&calls, 1) })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	errRanges := ForRangesCtx(ctx, SplitRange(1000, 16), func(int, Range) { atomic.AddInt64(&calls, 1) })
+	errDynamic := ForDynamicCtx(ctx, 1000, func(int) { atomic.AddInt64(&calls, 1) })
+	for _, err := range []error{errRanges, errDynamic} {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
 	}
 	if calls != 0 {
 		t.Errorf("%d body calls after pre-canceled context, want 0", calls)
@@ -43,15 +46,21 @@ func cancelAtFirstIndex(ctx context.Context, cancel context.CancelFunc, body fun
 	}
 }
 
-func TestForCtxCancelMidRunNeverTearsChunks(t *testing.T) {
+func TestForRangesCtxCancelMidRunNeverTearsChunks(t *testing.T) {
 	// Cancel partway through; every index either ran exactly once or not
 	// at all, and whole chunks are the unit — a started chunk finishes.
 	const n = 10000
+	ranges := SplitRange(n, Workers(n)*8)
 	ctx, cancel := context.WithCancel(context.Background())
 	var counts [n]int64
-	err := ForCtx(ctx, n, cancelAtFirstIndex(ctx, cancel, func(i int) {
+	body := cancelAtFirstIndex(ctx, cancel, func(i int) {
 		atomic.AddInt64(&counts[i], 1)
-	}))
+	})
+	err := ForRangesCtx(ctx, ranges, func(_ int, r Range) {
+		for i := r.Lo; i < r.Hi; i++ {
+			body(i)
+		}
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -67,7 +76,7 @@ func TestForCtxCancelMidRunNeverTearsChunks(t *testing.T) {
 	}
 	// Chunk atomicity: within each scheduled chunk, the indices that ran
 	// form complete chunks, never a prefix of one.
-	for _, r := range itemRanges(n) {
+	for _, r := range ranges {
 		chunkRan := 0
 		for i := r.Lo; i < r.Hi; i++ {
 			chunkRan += int(counts[i])
@@ -78,10 +87,15 @@ func TestForCtxCancelMidRunNeverTearsChunks(t *testing.T) {
 	}
 }
 
-func TestForCtxCompletesWithoutCancel(t *testing.T) {
+func TestForRangesCtxCompletesWithoutCancel(t *testing.T) {
 	const n = 500
 	var counts [n]int64
-	if err := ForCtx(context.Background(), n, func(i int) { atomic.AddInt64(&counts[i], 1) }); err != nil {
+	err := ForRangesCtx(context.Background(), SplitRange(n, 7), func(_ int, r Range) {
+		for i := r.Lo; i < r.Hi; i++ {
+			atomic.AddInt64(&counts[i], 1)
+		}
+	})
+	if err != nil {
 		t.Fatalf("err = %v, want nil", err)
 	}
 	for i, c := range counts {
@@ -92,7 +106,7 @@ func TestForCtxCompletesWithoutCancel(t *testing.T) {
 }
 
 func TestWorkerPanicSurfacesAsPanicError(t *testing.T) {
-	err := ForCtx(context.Background(), 100, func(i int) {
+	err := ForDynamicCtx(context.Background(), 100, func(i int) {
 		if i == 37 {
 			panic("boom at 37")
 		}
@@ -153,12 +167,12 @@ func TestLegacyForRePanicsWithPanicError(t *testing.T) {
 			t.Errorf("PanicError.Value = %v", pe.Value)
 		}
 	}()
-	For(10, func(i int) {
+	ForDynamic(10, func(i int) {
 		if i == 3 {
 			panic("legacy boom")
 		}
 	})
-	t.Fatal("For returned instead of panicking")
+	t.Fatal("ForDynamic returned instead of panicking")
 }
 
 func TestMetricsFlushedOnErrorPaths(t *testing.T) {
@@ -168,9 +182,9 @@ func TestMetricsFlushedOnErrorPaths(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_ = ForCtx(ctx, 1000, func(int) {})
+	_ = ForRangesCtx(ctx, SplitRange(1000, 16), func(int, Range) {})
 
-	_ = ForCtx(context.Background(), 1000, func(i int) {
+	_ = ForDynamicCtx(context.Background(), 1000, func(i int) {
 		if i == 0 {
 			panic("metric flush check")
 		}
@@ -187,85 +201,23 @@ func TestMetricsFlushedOnErrorPaths(t *testing.T) {
 	}
 }
 
-func TestMapCtxPartialOnCancel(t *testing.T) {
-	const n = 8192
-	ctx, cancel := context.WithCancel(context.Background())
-	gate := cancelAtFirstIndex(ctx, cancel, func(int) {})
-	out, err := MapCtx(ctx, n, func(i int) float64 {
-		gate(i)
-		return float64(i) + 1 // never zero, so written entries are detectable
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(out) != n {
-		t.Fatalf("len(out) = %d, want %d", len(out), n)
-	}
-	wrote := 0
-	for i, v := range out {
-		if v != 0 && v != float64(i)+1 {
-			t.Fatalf("out[%d] = %v: torn value", i, v)
-		}
-		if v != 0 {
-			wrote++
-		}
-	}
-	if wrote == 0 || wrote == n {
-		t.Fatalf("wrote %d of %d; want a genuine partial result", wrote, n)
-	}
-}
-
-func TestMapCtxComplete(t *testing.T) {
-	out, err := MapCtx(context.Background(), 100, func(i int) float64 { return float64(i * i) })
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	for i, v := range out {
-		if v != float64(i*i) {
-			t.Fatalf("out[%d] = %v, want %d", i, v, i*i)
-		}
-	}
-}
-
-func TestForSeededChunksCtxMatchesLegacy(t *testing.T) {
-	// The ctx variant with a background context must be bit-identical to
-	// the legacy entry point: same chunking, same stream derivation.
-	const n, chunks = 1000, 16
-	legacy := make([]float64, n)
-	ForSeededChunks(n, chunks, rng.New(99), func(r Range, s *rng.Rand) {
-		for i := r.Lo; i < r.Hi; i++ {
-			legacy[i] = s.Float64()
-		}
-	})
-	viaCtx := make([]float64, n)
-	err := ForSeededChunksCtx(context.Background(), n, chunks, rng.New(99), func(r Range, s *rng.Rand) {
-		for i := r.Lo; i < r.Hi; i++ {
-			viaCtx[i] = s.Float64()
-		}
-	})
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	for i := range legacy {
-		if legacy[i] != viaCtx[i] {
-			t.Fatalf("divergence at %d: %v != %v", i, legacy[i], viaCtx[i])
-		}
-	}
-}
-
 func TestForRangesCtxSubsetMatchesFullRun(t *testing.T) {
 	// The resume primitive: running only a subset of chunks with streams
 	// derived by ChunkStreams reproduces exactly the full run's values
 	// for those chunks.
 	const n, chunks = 1000, 16
+	ranges := SplitRange(n, chunks)
 	full := make([]float64, n)
-	ForSeededChunks(n, chunks, rng.New(7), func(r Range, s *rng.Rand) {
+	fullStreams := ChunkStreams(rng.New(7), len(ranges))
+	err := ForRangesCtx(context.Background(), ranges, func(ci int, r Range) {
 		for i := r.Lo; i < r.Hi; i++ {
-			full[i] = s.Float64()
+			full[i] = fullStreams[ci].Float64()
 		}
 	})
+	if err != nil {
+		t.Fatalf("full run: %v", err)
+	}
 
-	ranges := SplitRange(n, chunks)
 	streams := ChunkStreams(rng.New(7), len(ranges))
 	// Re-run only the odd-indexed chunks, as a resume would.
 	var odd []Range
@@ -277,7 +229,7 @@ func TestForRangesCtxSubsetMatchesFullRun(t *testing.T) {
 		}
 	}
 	partial := make([]float64, n)
-	err := ForRangesCtx(context.Background(), odd, func(ci int, r Range) {
+	err = ForRangesCtx(context.Background(), odd, func(ci int, r Range) {
 		s := streams[oddIdx[ci]]
 		for i := r.Lo; i < r.Hi; i++ {
 			partial[i] = s.Float64()

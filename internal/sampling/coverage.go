@@ -149,17 +149,21 @@ func (c CoverageConfig) Fingerprint() uint64 {
 	return f.Sum()
 }
 
-// CoveragePoint is the simulated coverage of one (n, level) pair.
+// CoveragePoint is the simulated coverage of one (n, level) pair. The
+// JSON tags are the served and dist-wire field names; float64 values
+// survive the JSON round trip exactly (Go emits the shortest
+// representation that parses back to the same bits), which is what keeps
+// remote results Float64bits-identical to local ones.
 type CoveragePoint struct {
-	SampleSize int
-	Level      float64
+	SampleSize int     `json:"sample_size"`
+	Level      float64 `json:"level"`
 	// Coverage is the fraction of replicates whose interval contained the
 	// simulated machine's true mean.
-	Coverage float64
+	Coverage float64 `json:"coverage"`
 	// MeanRelWidth is the average relative half-width of the intervals,
 	// a measure of how tight the estimates are.
-	MeanRelWidth float64
-	Replicates   int
+	MeanRelWidth float64 `json:"mean_rel_width"`
+	Replicates   int     `json:"replicates"`
 }
 
 // Miscalibration returns |Coverage - Level|.

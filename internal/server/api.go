@@ -3,8 +3,9 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
+
+	"nodevar/internal/sampling"
 )
 
 // maxBodyBytes caps request bodies: every API request is a small JSON
@@ -51,7 +52,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeBody(w, status, b)
 }
 
-// writeBody writes preserialized JSON bytes; cached coverage responses
+// writeBody writes preserialized JSON bytes; cached study responses
 // go through here so every caller receives identical bytes.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
@@ -161,15 +162,8 @@ type CoverageRequest struct {
 	UseZ        bool      `json:"use_z,omitempty"`
 }
 
-// CoveragePointJSON mirrors sampling.CoveragePoint with stable JSON
-// field names.
-type CoveragePointJSON struct {
-	SampleSize   int     `json:"sample_size"`
-	Level        float64 `json:"level"`
-	Coverage     float64 `json:"coverage"`
-	MeanRelWidth float64 `json:"mean_rel_width"`
-	Replicates   int     `json:"replicates"`
-}
+// CoveragePointJSON stays as an alias because nodebench still builds responses with it.
+type CoveragePointJSON = sampling.CoveragePoint
 
 // CoverageResponse is the study result plus its provenance: the seed and
 // configuration fingerprint are the same pair a CLI run of the same
@@ -187,7 +181,3 @@ type CoverageResponse struct {
 	// byte-identical whether or not a worker fleet is configured.
 	Degraded bool `json:"degraded,omitempty"`
 }
-
-// fingerprintString renders the provenance fingerprint the way manifests
-// and cache keys spell it.
-func fingerprintString(fp uint64) string { return fmt.Sprintf("%016x", fp) }

@@ -2,15 +2,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
-	"time"
 
-	"nodevar/internal/obs"
 	"nodevar/internal/sampling"
 	"nodevar/internal/systems"
 )
@@ -124,18 +119,21 @@ func (s *Server) coverageConfig(req CoverageRequest) (sampling.CoverageConfig, C
 // (fingerprint, seed) — the fingerprint digests every result-shaping
 // field including the pilot data — plus the human-readable envelope for
 // debuggability.
-func coverageKey(req CoverageRequest, cfg sampling.CoverageConfig) string {
-	sys := req.System
+func coverageKey(req CoverageRequest, cfg sampling.CoverageConfig, fp uint64) string {
+	return fmt.Sprintf("coverage|%s|pop=%d|reps=%d|seed=%d|z=%t|fp=%016x",
+		coverageSystem(req), cfg.Population, cfg.Replicates, cfg.Seed, cfg.UseZ, fp)
+}
+
+// coverageSystem names the pilot source: a preset key, or "custom" for
+// caller-measured pilot data.
+func coverageSystem(req CoverageRequest) string {
 	if len(req.PilotData) > 0 {
-		sys = "custom"
+		return "custom"
 	}
-	return fmt.Sprintf("coverage|%s|pop=%d|reps=%d|seed=%d|z=%t|fp=%s",
-		sys, cfg.Population, cfg.Replicates, cfg.Seed, cfg.UseZ, fingerprintString(cfg.Fingerprint()))
+	return req.System
 }
 
 // handleCoverage runs (or serves from cache) a Figure 3 coverage study.
-// Identical configurations coalesce onto one in-flight study and every
-// response body is byte-identical, hit or miss.
 func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	var req CoverageRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -147,42 +145,40 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidPlan, err.Error())
 		return
 	}
-	key := coverageKey(norm, cfg)
-	body, status, err := s.cache.Do(r.Context(), s.base, key, func(ctx context.Context) ([]byte, bool, error) {
-		return s.computeCoverage(ctx, norm, cfg)
+	fp := cfg.Fingerprint()
+	s.serveStudy(w, r, study{
+		kind: "coverage",
+		key:  coverageKey(norm, cfg, fp),
+		seed: cfg.Seed,
+		run: func(ctx context.Context) (any, bool, error) {
+			return s.computeCoverage(ctx, norm, cfg, fp)
+		},
+		manifest: func() (uint64, map[string]any) {
+			return fp, map[string]any{
+				"system":       coverageSystem(norm),
+				"pilot_nodes":  len(cfg.Pilot),
+				"population":   cfg.Population,
+				"sample_sizes": cfg.SampleSizes,
+				"levels":       cfg.Levels,
+				"replicates":   cfg.Replicates,
+				"seed":         cfg.Seed,
+				"use_z":        cfg.UseZ,
+			}
+		},
 	})
-	w.Header().Set("X-Cache", string(status))
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, codeTimeout, "coverage study did not finish within the request budget")
-		case errors.Is(err, context.Canceled):
-			writeError(w, http.StatusServiceUnavailable, codeUnavailable, "coverage study canceled")
-		default:
-			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
-		}
-		return
-	}
-	writeBody(w, http.StatusOK, body)
 }
 
-// computeCoverage executes one coalesced study: run (on the worker
-// fleet when one is configured, in-process otherwise), marshal once
-// (the cached bytes every caller receives), and record a manifest-v3
-// run record carrying the same seed/fingerprint provenance a CLI run
-// would. The returned bool is the cacheable flag for resultCache.Do: a
-// degraded-mode answer (fleet unreachable, computed locally) serves its
-// waiters but is not stored, so the Degraded marker disappears as soon
-// as the fleet can answer again.
-func (s *Server) computeCoverage(ctx context.Context, norm CoverageRequest, cfg sampling.CoverageConfig) ([]byte, bool, error) {
-	sp, ctx := obs.StartSpanCtx(ctx, "server", "coverage_compute")
-	defer sp.End()
+// computeCoverage runs one study on the worker fleet when one is
+// configured, in-process otherwise. The returned bool is the cacheable
+// flag: a degraded-mode answer (fleet unreachable, computed locally)
+// serves its waiters but is not stored, so the Degraded marker
+// disappears as soon as the fleet can answer again.
+func (s *Server) computeCoverage(ctx context.Context, norm CoverageRequest, cfg sampling.CoverageConfig, fp uint64) (any, bool, error) {
 	if s.coverageGate != nil {
 		if err := s.coverageGate(ctx); err != nil {
 			return nil, false, err
 		}
 	}
-	start := time.Now()
 	var (
 		points   []sampling.CoveragePoint
 		degraded bool
@@ -196,80 +192,11 @@ func (s *Server) computeCoverage(ctx context.Context, norm CoverageRequest, cfg 
 	if err != nil {
 		return nil, false, err
 	}
-	hStudy.Observe(time.Since(start).Seconds())
-
-	resp := CoverageResponse{
+	return CoverageResponse{
 		Request:     norm,
 		Seed:        cfg.Seed,
-		Fingerprint: fingerprintString(cfg.Fingerprint()),
-		Points:      make([]CoveragePointJSON, 0, len(points)),
+		Fingerprint: fmt.Sprintf("%016x", fp),
+		Points:      points,
 		Degraded:    degraded,
-	}
-	for _, p := range points {
-		resp.Points = append(resp.Points, CoveragePointJSON{
-			SampleSize:   p.SampleSize,
-			Level:        p.Level,
-			Coverage:     p.Coverage,
-			MeanRelWidth: p.MeanRelWidth,
-			Replicates:   p.Replicates,
-		})
-	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return nil, false, err
-	}
-	s.writeCoverageManifest(ctx, norm, cfg, start)
-	return body, !degraded, nil
-}
-
-// writeCoverageManifest records one computed study as a manifest-v3 run
-// record in Config.ManifestDir. Failures are logged, not returned: the
-// study result is valid either way, and an unwritable manifest dir must
-// not take the endpoint down.
-func (s *Server) writeCoverageManifest(ctx context.Context, norm CoverageRequest, cfg sampling.CoverageConfig, start time.Time) {
-	if s.cfg.ManifestDir == "" {
-		return
-	}
-	config := map[string]any{
-		"system":       norm.System,
-		"pilot_nodes":  len(cfg.Pilot),
-		"population":   cfg.Population,
-		"sample_sizes": cfg.SampleSizes,
-		"levels":       cfg.Levels,
-		"replicates":   cfg.Replicates,
-		"seed":         cfg.Seed,
-		"use_z":        cfg.UseZ,
-		"fingerprint":  fingerprintString(cfg.Fingerprint()),
-	}
-	if len(norm.PilotData) > 0 {
-		config["system"] = "custom"
-	}
-	// The manifest records which request trace computed this study — the
-	// trace ID goes in provenance, never in the cached response body,
-	// which must stay byte-identical across hits.
-	if tid, ok := obs.TraceIDFromContext(ctx); ok {
-		config["trace_id"] = tid.String()
-	}
-	m := obs.NewManifest("nodevard/coverage", nil, config, start, nil)
-	path := filepath.Join(s.cfg.ManifestDir,
-		fmt.Sprintf("coverage-%d-%s.json", cfg.Seed, fingerprintString(cfg.Fingerprint())))
-	if err := os.MkdirAll(s.cfg.ManifestDir, 0o755); err != nil {
-		s.log.Error("coverage manifest dir unwritable", "dir", s.cfg.ManifestDir, "err", err)
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		s.log.Error("coverage manifest unwritable", "path", path, "err", err)
-		return
-	}
-	if err := m.WriteJSON(f); err == nil {
-		err = f.Close()
-		if err != nil {
-			s.log.Error("coverage manifest close failed", "path", path, "err", err)
-		}
-	} else {
-		f.Close()
-		s.log.Error("coverage manifest write failed", "path", path, "err", err)
-	}
-	s.log.Debug("coverage manifest written", "path", path)
+	}, !degraded, nil
 }

@@ -2,17 +2,15 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
+	"strconv"
 	"strings"
-	"time"
 
+	"nodevar/internal/checkpoint"
 	"nodevar/internal/core"
 	"nodevar/internal/methodology"
-	"nodevar/internal/obs"
 	"nodevar/internal/systems"
 )
 
@@ -20,9 +18,9 @@ import (
 // lists the metering-architecture presets, POST /v1/distortion runs the
 // Level 1/2/3 + Table-5 comparison from internal/methodology against a
 // simulated preset system. A distortion study simulates per-node power
-// traces for the whole (capped) cluster, so like /v1/coverage it goes
-// through the coalescing result cache: one simulation per unique
-// configuration, byte-identical responses for every caller.
+// traces for the whole (capped) cluster, so it is served through the
+// same study pipeline as /v1/coverage (study.go): one simulation per
+// unique configuration, byte-identical responses for every caller.
 
 // MeterPresetJSON is one catalog entry of GET /v1/meters.
 type MeterPresetJSON struct {
@@ -149,23 +147,21 @@ func (s *Server) distortionConfig(req DistortionRequest) (DistortionRequest, err
 }
 
 // distortionKey is a study's cache identity: every result-shaping field
-// of the normalized request.
+// of the normalized request. Entropy is keyed in the shortest
+// round-tripping form, so two values share a key exactly when they are
+// the same float64 — and so echo the same JSON.
 func distortionKey(req DistortionRequest) string {
-	return fmt.Sprintf("distortion|%s|nodes=%d|pilot=%d|entropy=%s|seed=%d|meters=%s",
-		req.System, req.Nodes, req.PilotSize,
-		// %g via FormatFloat-compatible formatting keeps 0.30 and 0.3
-		// identical keys.
-		formatEntropy(*req.Entropy), req.Seed, strings.Join(req.Meters, "+"))
+	return "distortion|" + req.System +
+		"|nodes=" + strconv.Itoa(req.Nodes) +
+		"|pilot=" + strconv.Itoa(req.PilotSize) +
+		"|entropy=" + strconv.FormatFloat(*req.Entropy, 'g', -1, 64) +
+		"|seed=" + strconv.FormatUint(req.Seed, 10) +
+		"|meters=" + strings.Join(req.Meters, "+")
 }
 
-func formatEntropy(e float64) string {
-	if e == math.Trunc(e) {
-		return fmt.Sprintf("%d", int(e))
-	}
-	return fmt.Sprintf("%g", e)
-}
-
-// handleDistortion runs (or serves from cache) one distortion study.
+// handleDistortion runs (or serves from cache) one distortion study. It
+// has no config fingerprint of its own, so its manifest is named by a
+// digest of the cache key, which holds every result-shaping field.
 func (s *Server) handleDistortion(w http.ResponseWriter, r *http.Request) {
 	var req DistortionRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -178,31 +174,29 @@ func (s *Server) handleDistortion(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := distortionKey(norm)
-	body, status, err := s.cache.Do(r.Context(), s.base, key, func(ctx context.Context) ([]byte, bool, error) {
-		return s.computeDistortion(ctx, norm)
+	s.serveStudy(w, r, study{
+		kind: "distortion",
+		key:  key,
+		seed: norm.Seed,
+		run: func(ctx context.Context) (any, bool, error) {
+			return computeDistortion(ctx, norm)
+		},
+		manifest: func() (uint64, map[string]any) {
+			return checkpoint.NewFingerprint().String(key).Sum(), map[string]any{
+				"system":     norm.System,
+				"meters":     norm.Meters,
+				"nodes":      norm.Nodes,
+				"pilot_size": norm.PilotSize,
+				"entropy":    *norm.Entropy,
+				"seed":       norm.Seed,
+			}
+		},
 	})
-	w.Header().Set("X-Cache", string(status))
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, codeTimeout, "distortion study did not finish within the request budget")
-		case errors.Is(err, context.Canceled):
-			writeError(w, http.StatusServiceUnavailable, codeUnavailable, "distortion study canceled")
-		default:
-			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
-		}
-		return
-	}
-	writeBody(w, http.StatusOK, body)
 }
 
-// computeDistortion executes one coalesced study: simulate the target
-// cluster, compare the requested meter models, marshal once.
-func (s *Server) computeDistortion(ctx context.Context, norm DistortionRequest) ([]byte, bool, error) {
-	sp, _ := obs.StartSpanCtx(ctx, "server", "distortion_compute")
-	defer sp.End()
-	start := time.Now()
-
+// computeDistortion simulates the target cluster and compares the
+// requested meter models.
+func computeDistortion(ctx context.Context, norm DistortionRequest) (any, bool, error) {
 	target, err := core.DistortionTarget(norm.System, norm.Nodes, *norm.Entropy, norm.Seed)
 	if err != nil {
 		return nil, false, err
@@ -227,8 +221,6 @@ func (s *Server) computeDistortion(ctx context.Context, norm DistortionRequest) 
 	if err != nil {
 		return nil, false, err
 	}
-	hStudy.Observe(time.Since(start).Seconds())
-
 	resp := DistortionResponse{
 		Request:      norm,
 		TrueAvgWatts: float64(rep.TrueAvg),
@@ -240,11 +232,7 @@ func (s *Server) computeDistortion(ctx context.Context, norm DistortionRequest) 
 	for _, md := range rep.Models {
 		resp.Models = append(resp.Models, distortionModelJSON(md))
 	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return nil, false, err
-	}
-	return body, true, nil
+	return resp, true, nil
 }
 
 func distortionModelJSON(md methodology.ModelDistortion) DistortionModelJSON {

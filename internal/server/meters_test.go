@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
+
+	"nodevar/internal/checkpoint"
 )
 
 func TestMetersList(t *testing.T) {
@@ -37,7 +40,8 @@ func TestMetersList(t *testing.T) {
 }
 
 func TestDistortionEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{ManifestDir: dir})
 	req := `{"system":"colosse","nodes":16,"pilot_size":8,"meters":["windowed","occ"]}`
 	resp, body := postJSON(t, ts.URL+"/v1/distortion", req)
 	if resp.StatusCode != http.StatusOK {
@@ -74,6 +78,17 @@ func TestDistortionEndpoint(t *testing.T) {
 	}
 	if !names["windowed"] || !names["occ"] {
 		t.Errorf("model names = %v", names)
+	}
+
+	// The computation recorded a manifest named by its seed and the
+	// digest of its cache key.
+	fp := checkpoint.NewFingerprint().String(distortionKey(dr.Request)).Sum()
+	m, err := readManifestFile(t, fmt.Sprintf("%s/distortion-2015-%016x.json", dir, fp))
+	if err != nil {
+		t.Fatalf("distortion manifest: %v", err)
+	}
+	if m.Command != "nodevard/distortion" || m.Config["system"] != "colosse" || m.Config["nodes"] != 16.0 {
+		t.Errorf("manifest command %q, config %v", m.Command, m.Config)
 	}
 
 	// Same request again: cache hit with byte-identical body.
@@ -122,6 +137,31 @@ func TestDistortionEntropyShiftsPower(t *testing.T) {
 	if !(low.TrueAvgWatts < full.TrueAvgWatts) {
 		t.Errorf("zero-entropy truth %.1f W not below full-entropy %.1f W",
 			low.TrueAvgWatts, full.TrueAvgWatts)
+	}
+}
+
+// TestDistortionNegativeZeroEntropy: -0 and 0 echo differently in JSON,
+// so they must be distinct studies — a shared key would serve the
+// second caller a body echoing the first caller's entropy.
+func TestDistortionNegativeZeroEntropy(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const base = `{"system":"lrz","nodes":8,"pilot_size":4,"meters":["occ"],"entropy":`
+	resp, body := postJSON(t, ts.URL+"/v1/distortion", base+`-0}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	if !bytes.Contains(body, []byte(`"entropy":-0,`)) {
+		t.Fatalf("-0 request echo: %s", body)
+	}
+	resp2, body2 := postJSON(t, ts.URL+"/v1/distortion", base+`0}`)
+	if resp2.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp2.StatusCode, body2)
+	}
+	if got := resp2.Header.Get("X-Cache"); got != "miss" {
+		t.Errorf("entropy 0 after -0: X-Cache = %q, want miss", got)
+	}
+	if !bytes.Contains(body2, []byte(`"entropy":0,`)) {
+		t.Errorf("entropy 0 request echo: %s", body2)
 	}
 }
 

@@ -86,8 +86,9 @@ type Config struct {
 	// evicted first. Default 128.
 	CacheEntries int
 	// ManifestDir, when non-empty, receives one manifest-v3 run record
-	// per coverage computation (cache misses only — hits are served from
-	// memory and inherit the original record), named by the study's
+	// per computed study (cache misses only — hits are served from
+	// memory and inherit the original record), named
+	// <kind>-<seed>-<fingerprint>.json by the study's kind and
 	// (seed, fingerprint) provenance pair.
 	ManifestDir string
 	// BaseContext is the server's lifecycle context: coalesced coverage

@@ -177,6 +177,21 @@ func TestStudentTApproachesNormal(t *testing.T) {
 	}
 }
 
+func TestStudentTQuantileHugeDF(t *testing.T) {
+	// Past ν ≈ 1e7 the beta inversion cancels catastrophically; the
+	// quantile must still sit on the Cornish–Fisher curve, whose 1/ν²
+	// term is already below double precision at these ν.
+	for _, df := range []int{10_000_001, 1e9, 1e12, 1_243_518_406_392_997} {
+		for _, p := range []float64{0.9, 0.975, 0.995} {
+			z := ZQuantile(p)
+			want := z + (z*z*z+z)/(4*float64(df))
+			if got := TQuantile(df, p); !almostEq(got, want, 1e-12) {
+				t.Errorf("t(%d, %v) = %.15f, want %.15f", df, p, got, want)
+			}
+		}
+	}
+}
+
 func TestStudentTUnderCoverageAt15(t *testing.T) {
 	// Section 4.2: "for samples of size n = 15, approximating the t
 	// quantile with a normal quantile will produce 95% confidence
