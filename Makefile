@@ -9,7 +9,7 @@ FLEET_FUZZTIME ?= 30s
 DIST_FUZZTIME ?= 30s
 METER_FUZZTIME ?= 30s
 
-.PHONY: build test vet nodebench-vet fmt-check race race-obs check bench trace repro fuzz-smoke cover-check chaos interrupt vuln serve loadcheck obs-serve-check fleet-check dist-check meter-check
+.PHONY: build test vet nodebench-vet fmt-check race race-obs check bench trace repro fuzz-smoke cover-check chaos interrupt vuln serve loadcheck obs-serve-check fleet-check dist-check meter-check loc-delta
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,14 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines added and removed since BASE (working tree against
+# the ref, so uncommitted edits count), and the net, for CHANGES.md.
+# Usage: make loc-delta BASE=<ref>
+loc-delta:
+	@test -n "$(BASE)" || { echo "usage: make loc-delta BASE=<ref>"; exit 2; }
+	@git diff --numstat $(BASE) -- '*.go' ':!*_test.go' | \
+	  awk '{a += $$1; r += $$2} END {printf "non-test Go lines: +%d -%d net %+d\n", a, r, a - r}'
 
 race:
 	$(GO) test -race ./...

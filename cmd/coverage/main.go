@@ -83,21 +83,25 @@ func realMain() int {
 		fatal(err)
 	}
 
+	resume, save, err := execFlags.StudyCheckpoint()
+	if err != nil {
+		fatal(err)
+	}
 	points, err := sampling.CoverageStudyCtx(ctx, sampling.CoverageConfig{
-		Pilot:       pilot,
-		Population:  pop,
-		SampleSizes: ns,
-		Levels:      levels,
-		Replicates:  *replicates,
-		Seed:        *seed,
-		Checkpoint:  execFlags.Checkpoint,
-		Resume:      execFlags.Resume,
+		Pilot:        pilot,
+		Population:   pop,
+		SampleSizes:  ns,
+		Levels:       levels,
+		Replicates:   *replicates,
+		Seed:         *seed,
+		Resume:       resume,
+		OnCheckpoint: save,
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return run.Close(err)
 		}
-		fatal(err)
+		fatal(execFlags.CheckpointError(err))
 	}
 
 	headers := []string{"n"}

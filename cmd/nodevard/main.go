@@ -76,7 +76,7 @@ func realMain() int {
 		workers       = flag.String("workers", "", "comma-separated worker base URLs; when set, /v1/coverage studies run on the fleet with checkpointed failover (api role only)")
 		probeInterval = flag.Duration("probe-interval", time.Second, "worker health-probe cadence and initial reconnect backoff (frontend)")
 		distTimeout   = flag.Duration("dist-job-timeout", 0, "per-worker dispatch budget for one coverage job; 0 leaves the request budget as the only bound (frontend)")
-		distCkEvery   = flag.Int("dist-checkpoint-every", 4, "streamed-progress cadence in completed chunks requested of workers (frontend)")
+		distCkEvery   = flag.Int("dist-checkpoint-every", 0, "streamed-progress cadence in completed chunks requested of workers; 0 = the study default, 4 (frontend)")
 		workerJobs    = flag.Int("worker-max-jobs", 4, "concurrent coverage studies per worker; excess jobs queue (worker role)")
 		workerCache   = flag.Int("worker-cache", 64, "completed jobs remembered for idempotent replay (worker role)")
 		chunkDelay    = flag.Duration("worker-chunk-delay", 0, "sleep after each completed chunk; chaos/scaling harness knob, leave 0 in production (worker role)")

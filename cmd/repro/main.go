@@ -61,13 +61,17 @@ func realMain() int {
 	run.SetConfig("replicates", *replicates)
 	run.SetConfig("trials", *trials)
 
+	resume, save, err := execFlags.StudyCheckpoint()
+	if err != nil {
+		fatalf("%v", err)
+	}
 	opts := core.Options{
 		Seed:              *seed,
 		TraceSamples:      *samples,
 		Replicates:        *replicates,
 		MeasurementTrials: *trials,
-		CheckpointPath:    execFlags.Checkpoint,
-		Resume:            execFlags.Resume,
+		Resume:            resume,
+		OnCheckpoint:      save,
 	}
 
 	// Experiments run in parallel (core.RunAllCtx) and render afterwards
@@ -83,6 +87,7 @@ func realMain() int {
 		res, runErr = core.RunCtx(ctx, core.ID(*exp), opts)
 		results = []core.Result{res}
 	}
+	runErr = execFlags.CheckpointError(runErr)
 	if runErr != nil {
 		var es core.ExperimentErrors
 		switch {

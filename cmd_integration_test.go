@@ -242,7 +242,7 @@ func TestReproInterrupt(t *testing.T) {
 	manifest := filepath.Join(dir, "manifest.json")
 
 	// Enough replicates that the study cannot finish before the signal
-	// lands, with the first checkpoint flush (8 of 64 chunks) seconds in.
+	// lands, with the first checkpoint flush (4 of 64 chunks) seconds in.
 	cmd := exec.Command(filepath.Join(dir, "repro"),
 		"-exp", "figure3", "-replicates", "400000",
 		"-checkpoint", ckpt, "-manifest", manifest)
@@ -304,8 +304,12 @@ func TestReproInterrupt(t *testing.T) {
 	// The checkpoint must be structurally intact: probing it with the
 	// wrong kind must fail the *stamp* check (ErrMismatch), which only
 	// happens after the schema and checksum validate.
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var state json.RawMessage
-	err = checkpoint.Load(ckpt, "bogus/kind", 0, 0, &state)
+	err = checkpoint.Decode(raw, "bogus/kind", 0, 0, &state)
 	if !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Errorf("checkpoint probe error = %v, want ErrMismatch (intact envelope)", err)
 	}

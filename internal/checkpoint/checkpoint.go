@@ -34,7 +34,7 @@ import (
 // Schema identifies the envelope layout; bump on breaking changes.
 const Schema = "nodevar/checkpoint/v1"
 
-// Sentinel errors, wrapped by Load with detail. Callers distinguish
+// Sentinel errors, wrapped by Decode with detail. Callers distinguish
 // "this checkpoint is damaged" (ErrCorrupt) from "this checkpoint is
 // healthy but belongs to a different run" (ErrMismatch); only the
 // latter is a usage error.
@@ -66,10 +66,8 @@ func checksum(kind string, seed, fingerprint uint64, payload []byte) uint32 {
 }
 
 // Encode marshals state into a stamped, checksummed envelope and
-// returns the envelope bytes — the exact bytes Save would write to
-// disk. Use it to carry a checkpoint over a transport other than the
-// filesystem; Decode on the receiving side verifies the same stamps
-// Load would.
+// returns the envelope bytes, for WriteFileAtomic to persist or a
+// transport to carry; Decode on the receiving side verifies the stamps.
 func Encode(kind string, seed, fingerprint uint64, state any) ([]byte, error) {
 	payload, err := json.Marshal(state)
 	if err != nil {
@@ -91,10 +89,10 @@ func Encode(kind string, seed, fingerprint uint64, state any) ([]byte, error) {
 }
 
 // Decode verifies envelope bytes (integrity, then the kind/seed/
-// fingerprint stamps) and unmarshals the payload into state. It is
-// Load for a checkpoint that never touched a file: ErrCorrupt for
-// damaged bytes, ErrMismatch for a healthy envelope that belongs to a
-// different run.
+// fingerprint stamps) and unmarshals the payload into state: ErrCorrupt
+// for damaged, truncated or checksum-failing bytes, ErrMismatch for a
+// healthy envelope that was produced by a different kind, seed or
+// configuration.
 func Decode(raw []byte, kind string, seed, fingerprint uint64, state any) error {
 	env, err := decode(raw)
 	if err != nil {
@@ -116,24 +114,11 @@ func Decode(raw []byte, kind string, seed, fingerprint uint64, state any) error 
 	return nil
 }
 
-// Save marshals state and writes it to path atomically and durably,
-// stamped with kind, seed and fingerprint. An existing file at path is
-// replaced only once the new checkpoint is fully on disk: the temp file
-// is fsynced before the rename and the parent directory after it, so a
-// host crash at any instant leaves a loadable checkpoint (old or new),
-// never a torn one.
-func Save(path, kind string, seed, fingerprint uint64, state any) error {
-	raw, err := Encode(kind, seed, fingerprint, state)
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, raw)
-}
-
-// WriteFileAtomic replaces path with raw via the durable
-// temp+fsync+rename+dir-fsync dance Save uses. Exported so callers that
-// already hold Encode output (e.g. a checkpoint frame received over the
-// network) can persist it without a decode/re-encode round trip.
+// WriteFileAtomic replaces path with raw (typically Encode output)
+// atomically and durably. An existing file at path is replaced only
+// once the new bytes are fully on disk: the temp file is fsynced before
+// the rename and the parent directory after it, so a host crash at any
+// instant leaves a loadable checkpoint (old or new), never a torn one.
 func WriteFileAtomic(path string, raw []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -176,24 +161,8 @@ func WriteFileAtomic(path string, raw []byte) error {
 	return nil
 }
 
-// Load reads the checkpoint at path, verifies its integrity and stamps,
-// and unmarshals the payload into state. It fails with an error wrapping
-// ErrCorrupt for unreadable, truncated or checksum-failing files, and
-// with one wrapping ErrMismatch when the checkpoint is intact but was
-// produced by a different kind, seed or configuration.
-func Load(path, kind string, seed, fingerprint uint64, state any) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("checkpoint: reading %s: %w", path, err)
-	}
-	if err := Decode(raw, kind, seed, fingerprint, state); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
-}
-
 // decode parses and integrity-checks an envelope without judging whose
-// run it belongs to. Split from Load so the fuzz target can drive it on
+// run it belongs to. Split from Decode so the fuzz target can drive it on
 // raw bytes.
 func decode(raw []byte) (*Envelope, error) {
 	var env Envelope

@@ -15,6 +15,24 @@ type demoState struct {
 	Widths []float64 `json:"widths"`
 }
 
+// saveFile and loadFile are the file round trip a caller builds from
+// Encode + WriteFileAtomic and os.ReadFile + Decode.
+func saveFile(path, kind string, seed, fingerprint uint64, state any) error {
+	raw, err := Encode(kind, seed, fingerprint, state)
+	if err != nil {
+		return err
+	}
+	return WriteFileAtomic(path, raw)
+}
+
+func loadFile(path, kind string, seed, fingerprint uint64, state any) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return Decode(raw, kind, seed, fingerprint, state)
+}
+
 func demo() demoState {
 	return demoState{
 		Done:   []int{0, 1, 5, 9},
@@ -26,12 +44,12 @@ func demo() demoState {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
 	want := demo()
-	if err := Save(path, "demo", 7, 42, want); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := saveFile(path, "demo", 7, 42, want); err != nil {
+		t.Fatalf("save: %v", err)
 	}
 	var got demoState
-	if err := Load(path, "demo", 7, 42, &got); err != nil {
-		t.Fatalf("Load: %v", err)
+	if err := loadFile(path, "demo", 7, 42, &got); err != nil {
+		t.Fatalf("load: %v", err)
 	}
 	a, _ := json.Marshal(want)
 	b, _ := json.Marshal(got)
@@ -42,14 +60,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSaveReplacesAtomically(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := Save(path, "demo", 1, 1, demoState{Done: []int{1}}); err != nil {
+	if err := saveFile(path, "demo", 1, 1, demoState{Done: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(path, "demo", 1, 1, demoState{Done: []int{1, 2}}); err != nil {
+	if err := saveFile(path, "demo", 1, 1, demoState{Done: []int{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	var got demoState
-	if err := Load(path, "demo", 1, 1, &got); err != nil {
+	if err := loadFile(path, "demo", 1, 1, &got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Done) != 2 {
@@ -67,7 +85,7 @@ func TestSaveReplacesAtomically(t *testing.T) {
 
 func TestLoadRejectsMismatches(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := Save(path, "demo", 7, 42, demo()); err != nil {
+	if err := saveFile(path, "demo", 7, 42, demo()); err != nil {
 		t.Fatal(err)
 	}
 	var s demoState
@@ -80,7 +98,7 @@ func TestLoadRejectsMismatches(t *testing.T) {
 		{"wrong seed", "demo", 8, 42},
 		{"wrong fingerprint", "demo", 7, 43},
 	} {
-		err := Load(path, tc.kind, tc.seed, tc.fingerprint, &s)
+		err := loadFile(path, tc.kind, tc.seed, tc.fingerprint, &s)
 		if !errors.Is(err, ErrMismatch) {
 			t.Errorf("%s: err = %v, want ErrMismatch", tc.name, err)
 		}
@@ -90,7 +108,7 @@ func TestLoadRejectsMismatches(t *testing.T) {
 func TestLoadRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.json")
-	if err := Save(path, "demo", 7, 42, demo()); err != nil {
+	if err := saveFile(path, "demo", 7, 42, demo()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -114,7 +132,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		var s demoState
-		if err := Load(p, "demo", 7, 42, &s); err == nil {
+		if err := loadFile(p, "demo", 7, 42, &s); err == nil {
 			t.Fatalf("byte flip at offset %d (%q -> %q) loaded cleanly", i, b, mut[i])
 		}
 		flipped++
@@ -130,7 +148,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		var s demoState
-		err := Load(p, "demo", 7, 42, &s)
+		err := loadFile(p, "demo", 7, 42, &s)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("truncation to %d bytes: err = %v, want ErrCorrupt", cut, err)
 		}
@@ -152,10 +170,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("round trip changed state:\n encoded %s\n decoded %s", a, b)
 	}
-	// Encode emits the exact bytes Save persists: a checkpoint streamed
+	// The file holds exactly the Encode bytes: a checkpoint streamed
 	// over the network and one written to disk are interchangeable.
 	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := Save(path, "demo", 7, 42, want); err != nil {
+	if err := saveFile(path, "demo", 7, 42, want); err != nil {
 		t.Fatal(err)
 	}
 	onDisk, err := os.ReadFile(path)
@@ -163,9 +181,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(onDisk) != string(raw) {
-		t.Error("Save bytes differ from Encode bytes")
+		t.Error("file bytes differ from Encode bytes")
 	}
-	// Decode enforces the same stamps Load does.
+	// Decode enforces the stamps and integrity on raw bytes too.
 	if err := Decode(raw, "other", 7, 42, &got); !errors.Is(err, ErrMismatch) {
 		t.Errorf("wrong kind: err = %v, want ErrMismatch", err)
 	}
@@ -182,7 +200,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestNoTornPrefixLoadable(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.json")
-	if err := Save(path, "demo", 7, 42, demo()); err != nil {
+	if err := saveFile(path, "demo", 7, 42, demo()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -196,7 +214,7 @@ func TestNoTornPrefixLoadable(t *testing.T) {
 			t.Fatal(err)
 		}
 		var s demoState
-		if err := Load(torn, "demo", 7, 42, &s); err == nil {
+		if err := loadFile(torn, "demo", 7, 42, &s); err == nil {
 			// A prefix may load only if it is merely missing trailing
 			// whitespace, i.e. it decodes to exactly the full state —
 			// anything else is a torn checkpoint leaking through.
@@ -208,20 +226,9 @@ func TestNoTornPrefixLoadable(t *testing.T) {
 	}
 }
 
-func TestLoadMissingFile(t *testing.T) {
-	var s demoState
-	err := Load(filepath.Join(t.TempDir(), "absent.json"), "demo", 1, 1, &s)
-	if err == nil {
-		t.Fatal("loading a missing file succeeded")
-	}
-	if !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("err = %v, want to wrap os.ErrNotExist", err)
-	}
-}
-
 func TestLoadRejectsWrongSchema(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := Save(path, "demo", 1, 1, demo()); err != nil {
+	if err := saveFile(path, "demo", 1, 1, demo()); err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := os.ReadFile(path)
@@ -230,7 +237,7 @@ func TestLoadRejectsWrongSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s demoState
-	err := Load(path, "demo", 1, 1, &s)
+	err := loadFile(path, "demo", 1, 1, &s)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt for unknown schema", err)
 	}

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"os/signal"
 	"sync"
 	"syscall"
 	"time"
 
+	"nodevar/internal/checkpoint"
 	"nodevar/internal/obs"
 )
 
@@ -41,6 +43,40 @@ func (e *ExecFlags) Validate() error {
 		return errors.New("cli: -resume requires -checkpoint")
 	}
 	return nil
+}
+
+// StudyCheckpoint wires -checkpoint and -resume into a long study. save
+// replaces the -checkpoint file atomically and durably with each
+// envelope it is handed. Under -resume, resume holds the file's bytes;
+// a file that does not exist yet is a fresh start (nil resume). Both are
+// nil without -checkpoint.
+func (e *ExecFlags) StudyCheckpoint() (resume []byte, save func([]byte) error, err error) {
+	if e.Checkpoint == "" {
+		return nil, nil, nil
+	}
+	path := e.Checkpoint
+	save = func(env []byte) error { return checkpoint.WriteFileAtomic(path, env) }
+	if !e.Resume {
+		return nil, save, nil
+	}
+	resume, err = os.ReadFile(path)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		return nil, save, nil
+	case err != nil:
+		return nil, nil, fmt.Errorf("cli: reading checkpoint: %w", err)
+	}
+	return resume, save, nil
+}
+
+// CheckpointError names the -checkpoint file in err when the study
+// refused the file's contents (checkpoint.ErrCorrupt or ErrMismatch),
+// since the study itself only ever sees bytes.
+func (e *ExecFlags) CheckpointError(err error) error {
+	if e.Checkpoint != "" && (errors.Is(err, checkpoint.ErrCorrupt) || errors.Is(err, checkpoint.ErrMismatch)) {
+		return fmt.Errorf("%s: %w", e.Checkpoint, err)
+	}
+	return err
 }
 
 // RegisterExecFlags installs the execution-control flags on the default

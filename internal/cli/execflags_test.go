@@ -7,11 +7,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"nodevar/internal/checkpoint"
 	"nodevar/internal/obs"
+	"nodevar/internal/sampling"
 )
 
 func parseExec(t *testing.T, args ...string) *ExecFlags {
@@ -184,5 +187,105 @@ func TestCloseDefaultStatusOK(t *testing.T) {
 	}
 	if len(m.Exec) != 0 {
 		t.Errorf("plain run grew an exec section: %s", m.Exec)
+	}
+}
+
+// checkpointStudy is a small coverage study for the -checkpoint tests.
+func checkpointStudy(seed uint64) sampling.CoverageConfig {
+	return sampling.CoverageConfig{
+		Pilot:       []float64{198, 203, 207, 211, 214, 219, 222, 226},
+		Population:  512,
+		SampleSizes: []int{4, 8},
+		Levels:      []float64{0.9},
+		Replicates:  400,
+		Seed:        seed,
+		Chunks:      8,
+	}
+}
+
+func TestStudyCheckpointMissingFileIsFreshStart(t *testing.T) {
+	if resume, save, err := parseExec(t).StudyCheckpoint(); resume != nil || save != nil || err != nil {
+		t.Fatalf("without -checkpoint: resume %v, save set %v, err %v", resume, save != nil, err)
+	}
+
+	path := filepath.Join(t.TempDir(), "study.ckpt")
+	e := parseExec(t, "-checkpoint", path, "-resume")
+	resume, save, err := e.StudyCheckpoint()
+	if err != nil || resume != nil || save == nil {
+		t.Fatalf("missing file: resume %v, save set %v, err %v; want a fresh start", resume, save != nil, err)
+	}
+	cfg := checkpointStudy(5)
+	cfg.OnCheckpoint = save
+	want, err := sampling.CoverageStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || want[0].Replicates != cfg.Replicates {
+		t.Fatalf("fresh-start study produced %v", want)
+	}
+
+	// The completed study left its checkpoint; resuming from it runs no
+	// chunk and answers the same.
+	resume, _, err = e.StudyCheckpoint()
+	if err != nil || resume == nil {
+		t.Fatalf("written checkpoint: resume %d bytes, err %v", len(resume), err)
+	}
+	cfg.Resume, cfg.OnCheckpoint = resume, nil
+	ran := 0
+	cfg.OnChunk = func(int, int) { ran++ }
+	got, err := sampling.CoverageStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ran != 0 {
+		t.Fatalf("resume from a complete checkpoint ran %d chunks", ran)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("point %d: resumed %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestStudyCheckpointRejectsCorruptAndForeignFiles(t *testing.T) {
+	dir := t.TempDir()
+	foreign := filepath.Join(dir, "foreign.ckpt")
+	cfg := checkpointStudy(5)
+	cfg.OnCheckpoint = func(env []byte) error { return os.WriteFile(foreign, env, 0o644) }
+	if _, err := sampling.CoverageStudy(cfg); err != nil {
+		t.Fatal(err)
+	}
+	corrupt := filepath.Join(dir, "corrupt.ckpt")
+	if err := os.WriteFile(corrupt, []byte(`{"schema":"nodevar/checkpoint/v1"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	empty := filepath.Join(dir, "empty.ckpt")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		path string
+		want error
+	}{
+		{foreign, checkpoint.ErrMismatch}, // written by seed 5, resumed by seed 6
+		{corrupt, checkpoint.ErrCorrupt},
+		{empty, checkpoint.ErrCorrupt},
+	} {
+		e := parseExec(t, "-checkpoint", tc.path, "-resume")
+		resume, save, err := e.StudyCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := checkpointStudy(6)
+		run.Resume, run.OnCheckpoint = resume, save
+		_, err = sampling.CoverageStudy(run)
+		err = e.CheckpointError(err)
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.path, err, tc.want)
+		}
+		if !strings.Contains(err.Error(), tc.path) {
+			t.Fatalf("%s: error %q does not name the file", tc.path, err)
+		}
 	}
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -101,24 +101,33 @@ func TestRunAllCtxCanceled(t *testing.T) {
 }
 
 func TestFigure3CheckpointOptionsThread(t *testing.T) {
-	// A canceled figure3 leaves a checkpoint; resuming completes and the
-	// checkpoint file stays loadable by a fresh run with the same options.
+	// Figure 3 hands its progress to OnCheckpoint, and a run resumed from
+	// the last envelope renders the same bytes.
 	systems.ResetCalibrationCache()
+	var last []byte
 	opts := Options{
-		Replicates:     4000,
-		CheckpointPath: filepath.Join(t.TempDir(), "fig3.ckpt"),
-		Resume:         true,
+		Replicates:   4000,
+		OnCheckpoint: func(env []byte) error { last = env; return nil },
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunCtx(ctx, Figure3, opts); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled figure3: err = %v, want context.Canceled", err)
+	ref, err := RunCtx(context.Background(), Figure3, opts)
+	if err != nil {
+		t.Fatalf("figure3: %v", err)
 	}
-	res, err := RunCtx(context.Background(), Figure3, opts)
+	if last == nil {
+		t.Fatal("figure3 handed no checkpoint to OnCheckpoint")
+	}
+	res, err := RunCtx(context.Background(), Figure3, Options{Replicates: 4000, Resume: last})
 	if err != nil {
 		t.Fatalf("resumed figure3: %v", err)
 	}
-	if res == nil || res.ID() != Figure3 {
-		t.Fatalf("resumed figure3 returned %v", res)
+	var want, got bytes.Buffer
+	if err := ref.Render(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Render(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("resumed figure3 renders differently:\n%s\nwant:\n%s", got.String(), want.String())
 	}
 }

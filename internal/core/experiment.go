@@ -61,14 +61,11 @@ type Options struct {
 	// experiment takes per configuration (default 200).
 	MeasurementTrials int
 
-	// CheckpointPath, when non-empty, makes the long experiments
-	// (currently the Figure 3 coverage study) save resumable progress
-	// there; see sampling.CoverageConfig.Checkpoint.
-	CheckpointPath string
-	// CheckpointEvery is the save cadence in completed work chunks.
-	CheckpointEvery int
-	// Resume loads existing progress from CheckpointPath before running.
-	Resume bool
+	// Resume and OnCheckpoint are the checkpoint input and output of the
+	// long experiment (the Figure 3 coverage study); see
+	// sampling.CoverageConfig.
+	Resume       []byte
+	OnCheckpoint func(envelope []byte) error
 }
 
 func (o Options) fill() Options {

@@ -49,28 +49,21 @@ func (e *RejectedError) Error() string {
 type Config struct {
 	// Workers are the worker base URLs (e.g. "http://10.0.0.7:9090").
 	Workers []string
-	// Vnodes is the consistent-hash points per worker. Default 64.
-	Vnodes int
 	// ProbeInterval is the health-probe cadence for live workers and the
 	// initial reconnect backoff for down ones (the backoff doubles per
-	// failed probe up to ProbeBackoffMax, with ±25% jitter). Default 1s.
+	// failed probe up to probeBackoffMax, with ±25% jitter). Default 1s.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe. Default 500ms.
 	ProbeTimeout time.Duration
-	// ProbeBackoffMax caps the reconnect backoff. Default 15s.
-	ProbeBackoffMax time.Duration
 	// JobTimeout bounds one dispatch attempt to one worker, including
 	// its whole response stream. A study that outlives it on a healthy
 	// worker is failed over with its streamed progress, so the work is
 	// not lost. <= 0 means the caller's context is the only bound.
 	// Default 0.
 	JobTimeout time.Duration
-	// MaxAttempts caps how many distinct workers one job tries before
-	// degrading to local compute. Default: every configured worker.
-	MaxAttempts int
 	// CheckpointEvery is the progress-stream cadence (in completed
 	// chunks) requested of workers. Lower is finer-grained failover at
-	// slightly more stream traffic. Default 4.
+	// slightly more stream traffic. 0 leaves the study's default of 4.
 	CheckpointEvery int
 	// Seed drives the probe-jitter stream. Default 1.
 	Seed uint64
@@ -103,23 +96,11 @@ func NewFrontend(cfg Config) (*Frontend, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("dist: no workers configured")
 	}
-	if cfg.Vnodes <= 0 {
-		cfg.Vnodes = 64
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 500 * time.Millisecond
-	}
-	if cfg.ProbeBackoffMax <= 0 {
-		cfg.ProbeBackoffMax = 15 * time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = len(cfg.Workers)
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 4
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -135,7 +116,7 @@ func NewFrontend(cfg Config) (*Frontend, error) {
 		cfg:  cfg,
 		log:  cfg.Log,
 		jobs: &http.Client{Transport: cfg.Transport},
-		reg:  newRegistry(cfg.Workers, cfg.Vnodes, probeClient, cfg.ProbeInterval, cfg.ProbeBackoffMax, cfg.Seed, cfg.Log),
+		reg:  newRegistry(cfg.Workers, probeClient, cfg.ProbeInterval, cfg.Seed, cfg.Log),
 	}
 	return f, nil
 }
@@ -161,8 +142,8 @@ func (f *Frontend) Workers() []string { return append([]string(nil), f.cfg.Worke
 // the first live worker in preference order, collect streamed
 // checkpoint frames; on any transport failure or timeout, mark the
 // worker down and re-dispatch to the next live worker with the last
-// streamed envelope as resume state (bounded by MaxAttempts); when no
-// live workers remain, run the study in-process — resuming from
+// streamed envelope as resume state (each worker is tried at most once);
+// when no live workers remain, run the study in-process — resuming from
 // whatever progress the fleet managed to stream before dying.
 func (f *Frontend) Coverage(ctx context.Context, cfg sampling.CoverageConfig) ([]sampling.CoveragePoint, bool, error) {
 	if cfg.Chunks <= 0 {
@@ -170,17 +151,16 @@ func (f *Frontend) Coverage(ctx context.Context, cfg sampling.CoverageConfig) ([
 		// it, or failover would change the RNG streams.
 		cfg.Chunks = 64
 	}
+	if f.cfg.CheckpointEvery > 0 {
+		cfg.CheckpointEvery = f.cfg.CheckpointEvery
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err
 	}
 	key := JobKey(cfg.Seed, cfg.Fingerprint())
 
-	var resume []byte
 	attempts := 0
 	for _, addr := range f.reg.sequence(key) {
-		if attempts >= f.cfg.MaxAttempts {
-			break
-		}
 		if !f.reg.live(addr) {
 			continue
 		}
@@ -189,7 +169,7 @@ func (f *Frontend) Coverage(ctx context.Context, cfg sampling.CoverageConfig) ([
 		}
 		attempts++
 		mDispatched.Inc()
-		points, cached, lastCk, err := f.dispatch(ctx, addr, cfg, resume)
+		points, cached, lastCk, err := f.dispatch(ctx, addr, cfg)
 		if err == nil {
 			mRemoteOK.Inc()
 			if cached {
@@ -207,12 +187,12 @@ func (f *Frontend) Coverage(ctx context.Context, cfg sampling.CoverageConfig) ([
 			return nil, false, err
 		}
 		mWorkerFailure.Inc()
-		if len(lastCk) > 0 {
-			resume = lastCk
+		if lastCk != nil {
+			cfg.Resume = lastCk
 		}
 		f.reg.markDown(addr, err.Error())
 		f.log.Warn("dist: dispatch failed, failing over", "worker", addr, "job", key, "err", err,
-			"resume_bytes", len(resume))
+			"resume_bytes", len(cfg.Resume))
 	}
 
 	// Degraded mode: the fleet cannot serve this study right now, so the
@@ -222,30 +202,25 @@ func (f *Frontend) Coverage(ctx context.Context, cfg sampling.CoverageConfig) ([
 	// flag differ.
 	mDegraded.Inc()
 	f.log.Warn("dist: no live worker could serve job; computing locally", "job", key,
-		"live_workers", f.reg.liveCount(), "resume_bytes", len(resume))
-	local := cfg
-	if len(resume) > 0 {
-		local.Resume = true
-		local.ResumeData = resume
-	}
-	points, err := sampling.CoverageStudyCtx(ctx, local)
+		"live_workers", f.reg.liveCount(), "resume_bytes", len(cfg.Resume))
+	points, err := sampling.CoverageStudyCtx(ctx, cfg)
 	if err != nil {
 		return nil, true, err
 	}
 	return points, true, nil
 }
 
-// dispatch sends one job to one worker and consumes its frame stream.
-// It returns the final points on success, or the last checkpoint
-// envelope received before the failure so the caller can resume the
-// study elsewhere.
-func (f *Frontend) dispatch(ctx context.Context, addr string, cfg sampling.CoverageConfig, resume []byte) (points []sampling.CoveragePoint, cached bool, lastCk []byte, err error) {
+// dispatch sends one job, cfg with its resume state, to one worker and
+// consumes its frame stream. It returns the final points on success, or
+// the last checkpoint envelope received before the failure so the
+// caller can resume the study elsewhere.
+func (f *Frontend) dispatch(ctx context.Context, addr string, cfg sampling.CoverageConfig) (points []sampling.CoveragePoint, cached bool, lastCk []byte, err error) {
 	if f.cfg.JobTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, f.cfg.JobTimeout)
 		defer cancel()
 	}
-	job := NewJobRequest(cfg, f.cfg.CheckpointEvery, resume)
+	job := NewJobRequest(cfg)
 	body, err := json.Marshal(job)
 	if err != nil {
 		return nil, false, nil, fmt.Errorf("dist: marshaling job: %w", err)

@@ -19,7 +19,9 @@ import (
 // when resume state is present — an envelope stamped for exactly this
 // study.
 func FuzzJobDecode(f *testing.F) {
-	valid := NewJobRequest(testStudyConfig(3), 2, nil)
+	cfg := testStudyConfig(3)
+	cfg.CheckpointEvery = 2
+	valid := NewJobRequest(cfg)
 	validJSON, err := json.Marshal(valid)
 	if err != nil {
 		f.Fatal(err)
@@ -28,7 +30,8 @@ func FuzzJobDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	withResume := NewJobRequest(testStudyConfig(3), 2, env)
+	cfg.Resume = env
+	withResume := NewJobRequest(cfg)
 	withResumeJSON, err := json.Marshal(withResume)
 	if err != nil {
 		f.Fatal(err)
@@ -73,7 +76,7 @@ func FuzzJobDecode(f *testing.F) {
 		if job.JobID != JobKey(job.Seed, fp) {
 			t.Fatalf("accepted JobID %q != identity %q", job.JobID, JobKey(job.Seed, fp))
 		}
-		if len(job.Resume) > 0 {
+		if job.Resume != nil {
 			var probe json.RawMessage
 			if derr := checkpoint.Decode(job.Resume, sampling.CoverageCheckpointKind, job.Seed, fp, &probe); derr != nil {
 				t.Fatalf("accepted resume envelope fails verification: %v", derr)
@@ -98,8 +101,7 @@ func FuzzJobDecode(f *testing.F) {
 
 func mustFP(f *testing.F, j JobRequest) uint64 {
 	f.Helper()
-	cfg := j.Config()
-	return cfg.Fingerprint()
+	return j.CoverageConfig.Fingerprint()
 }
 
 // TestJobDecodeRegressionCorpus replays the committed corpus under

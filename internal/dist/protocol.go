@@ -36,37 +36,20 @@ const (
 )
 
 // JobRequest is the coverage-job envelope the frontend POSTs to a
-// worker. It carries the full study configuration (a worker is
-// stateless between jobs), the frontend-computed provenance stamps the
-// worker re-verifies, and optionally the last streamed checkpoint
-// envelope of a previous life of the same study.
+// worker: the study itself (a worker is stateless between jobs,
+// so the full configuration travels, optionally with the resume
+// envelope of a previous life of the same study) plus its identity.
 type JobRequest struct {
 	// JobID is the idempotency key, which must equal
 	// JobKey(Seed, Fingerprint); a worker answers a repeated JobID from
 	// its completed-result cache.
 	JobID string `json:"job_id"`
-	// Seed and Fingerprint are the study's provenance pair. Fingerprint
-	// is the %016x rendering of CoverageConfig.Fingerprint() and is
-	// recomputed and verified by the worker, so a corrupted or
-	// mislabeled job can never poison the fleet-wide singleflight
-	// identity.
-	Seed        uint64 `json:"seed"`
+	// Fingerprint is the %016x rendering of CoverageConfig.Fingerprint()
+	// and, with Seed, the study's provenance pair. The worker recomputes
+	// and verifies it, so a corrupted or mislabeled job can never poison
+	// the fleet-wide singleflight identity.
 	Fingerprint string `json:"fingerprint"`
-
-	Pilot           []float64 `json:"pilot"`
-	Population      int       `json:"population"`
-	SampleSizes     []int     `json:"sample_sizes"`
-	Levels          []float64 `json:"levels"`
-	Replicates      int       `json:"replicates"`
-	Chunks          int       `json:"chunks"`
-	UseZ            bool      `json:"use_z,omitempty"`
-	CheckpointEvery int       `json:"checkpoint_every,omitempty"`
-
-	// Resume, when non-empty, is a checkpoint envelope (the bytes
-	// internal/checkpoint Encode produced, streamed from a previous
-	// worker) to resume from. The decoder verifies its kind, seed and
-	// fingerprint stamps before the study starts.
-	Resume []byte `json:"resume,omitempty"`
+	sampling.CoverageConfig
 }
 
 // Frame types of the worker's NDJSON response stream.
@@ -85,7 +68,7 @@ type Frame struct {
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
 	// Checkpoint is the progress envelope (base64 in the JSON encoding);
-	// feeding it to CoverageConfig.ResumeData elsewhere resumes the
+	// feeding it to CoverageConfig.Resume elsewhere resumes the
 	// study byte-identically.
 	Checkpoint []byte `json:"checkpoint,omitempty"`
 	// Points is the final study output on result frames.
@@ -97,41 +80,15 @@ type Frame struct {
 	Error string `json:"error,omitempty"`
 }
 
-// NewJobRequest builds the envelope for cfg with the given resume state.
-// cfg must already be normalized (Chunks pinned); the provenance stamps
+// NewJobRequest builds the envelope for cfg, resume state included.
+// cfg must already be normalized (Chunks pinned); the identity stamps
 // are computed here so frontend and worker always agree on the digest.
-func NewJobRequest(cfg sampling.CoverageConfig, checkpointEvery int, resume []byte) JobRequest {
+func NewJobRequest(cfg sampling.CoverageConfig) JobRequest {
 	fp := cfg.Fingerprint()
 	return JobRequest{
-		JobID:           JobKey(cfg.Seed, fp),
-		Seed:            cfg.Seed,
-		Fingerprint:     fmt.Sprintf("%016x", fp),
-		Pilot:           cfg.Pilot,
-		Population:      cfg.Population,
-		SampleSizes:     cfg.SampleSizes,
-		Levels:          cfg.Levels,
-		Replicates:      cfg.Replicates,
-		Chunks:          cfg.Chunks,
-		UseZ:            cfg.UseZ,
-		CheckpointEvery: checkpointEvery,
-		Resume:          resume,
-	}
-}
-
-// Config converts the envelope into a runnable study configuration
-// (runtime-only fields — hooks, resume wiring — are the worker's to
-// set).
-func (j JobRequest) Config() sampling.CoverageConfig {
-	return sampling.CoverageConfig{
-		Pilot:           j.Pilot,
-		Population:      j.Population,
-		SampleSizes:     j.SampleSizes,
-		Levels:          j.Levels,
-		Replicates:      j.Replicates,
-		Seed:            j.Seed,
-		Chunks:          j.Chunks,
-		UseZ:            j.UseZ,
-		CheckpointEvery: j.CheckpointEvery,
+		JobID:          JobKey(cfg.Seed, fp),
+		Fingerprint:    fmt.Sprintf("%016x", fp),
+		CoverageConfig: cfg,
 	}
 }
 
@@ -141,9 +98,11 @@ func (j JobRequest) Config() sampling.CoverageConfig {
 // that does not match the configuration, or a resume envelope that is
 // corrupt or belongs to a different study (including a stale checkpoint
 // kind from an older study formulation). A job that decodes cleanly is
-// safe to run and cache under its JobID: the decoder re-derives every
-// identity stamp from the configuration itself, so no request can
-// register a result under someone else's key.
+// safe to run under its JobID: the decoder re-derives every identity
+// stamp from the configuration itself. The returned configuration is the
+// job's embedded study, resume state included. A resume envelope's
+// checksum is a CRC, not a MAC, so its content is the sender's word:
+// the worker never caches a result computed from one.
 func DecodeJobRequest(r io.Reader) (JobRequest, sampling.CoverageConfig, error) {
 	var j JobRequest
 	dec := json.NewDecoder(io.LimitReader(r, maxJobBytes))
@@ -154,27 +113,28 @@ func DecodeJobRequest(r io.Reader) (JobRequest, sampling.CoverageConfig, error) 
 	if dec.More() {
 		return j, sampling.CoverageConfig{}, errors.New("dist: trailing data after job envelope")
 	}
-	cfg, err := j.check()
-	return j, cfg, err
+	if err := j.check(); err != nil {
+		return j, sampling.CoverageConfig{}, err
+	}
+	return j, j.CoverageConfig, nil
 }
 
-// check validates the envelope's shapes, values and identity stamps and
-// returns the runnable study configuration. It is the post-parse half
-// of DecodeJobRequest; the NaN/Inf guards are unreachable through
-// strict JSON (which cannot encode them) but hold the contract for any
-// future envelope transport that can.
-func (j JobRequest) check() (sampling.CoverageConfig, error) {
+// check validates the envelope's shapes, values and identity stamps. It
+// is the post-parse half of DecodeJobRequest; the NaN/Inf guards are
+// unreachable through strict JSON (which cannot encode them) but hold
+// the contract for any future envelope transport that can.
+func (j JobRequest) check() error {
 	switch {
 	case len(j.Pilot) > maxJobPilot:
-		return sampling.CoverageConfig{}, fmt.Errorf("dist: pilot of %d nodes exceeds %d", len(j.Pilot), maxJobPilot)
+		return fmt.Errorf("dist: pilot of %d nodes exceeds %d", len(j.Pilot), maxJobPilot)
 	case len(j.SampleSizes) > maxJobSampleSizes:
-		return sampling.CoverageConfig{}, fmt.Errorf("dist: %d sample sizes exceed %d", len(j.SampleSizes), maxJobSampleSizes)
+		return fmt.Errorf("dist: %d sample sizes exceed %d", len(j.SampleSizes), maxJobSampleSizes)
 	case len(j.Levels) > maxJobLevels:
-		return sampling.CoverageConfig{}, fmt.Errorf("dist: %d levels exceed %d", len(j.Levels), maxJobLevels)
+		return fmt.Errorf("dist: %d levels exceed %d", len(j.Levels), maxJobLevels)
 	case j.Chunks < 1 || j.Chunks > maxJobChunks:
-		return sampling.CoverageConfig{}, fmt.Errorf("dist: chunks %d outside [1, %d]", j.Chunks, maxJobChunks)
+		return fmt.Errorf("dist: chunks %d outside [1, %d]", j.Chunks, maxJobChunks)
 	case j.CheckpointEvery < 0:
-		return sampling.CoverageConfig{}, fmt.Errorf("dist: checkpoint_every %d negative", j.CheckpointEvery)
+		return fmt.Errorf("dist: checkpoint_every %d negative", j.CheckpointEvery)
 	}
 	// The study validates levels are in (0,1) — which excludes NaN — but
 	// pilot values are free-form there, so scan them here: a NaN or Inf
@@ -182,43 +142,42 @@ func (j JobRequest) check() (sampling.CoverageConfig, error) {
 	// every replicate of a cached fleet-wide result.
 	for i, v := range j.Pilot {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return sampling.CoverageConfig{}, fmt.Errorf("dist: pilot[%d] is %v", i, v)
+			return fmt.Errorf("dist: pilot[%d] is %v", i, v)
 		}
 	}
 	for i, v := range j.Levels {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return sampling.CoverageConfig{}, fmt.Errorf("dist: levels[%d] is %v", i, v)
+			return fmt.Errorf("dist: levels[%d] is %v", i, v)
 		}
 	}
 
-	cfg := j.Config()
-	if err := cfg.Validate(); err != nil {
-		return sampling.CoverageConfig{}, err
+	if err := j.Validate(); err != nil {
+		return err
 	}
 
 	// Identity stamps: the fingerprint the frontend computed must match
 	// the configuration that arrived, and the job key must be derived
 	// from that same pair.
-	fp := cfg.Fingerprint()
+	fp := j.CoverageConfig.Fingerprint()
 	wantFP, err := strconv.ParseUint(j.Fingerprint, 16, 64)
 	if err != nil {
-		return sampling.CoverageConfig{}, fmt.Errorf("dist: fingerprint %q is not a 64-bit hex digest", j.Fingerprint)
+		return fmt.Errorf("dist: fingerprint %q is not a 64-bit hex digest", j.Fingerprint)
 	}
 	if wantFP != fp {
-		return sampling.CoverageConfig{}, fmt.Errorf("dist: fingerprint %s does not match the job configuration (%016x)", j.Fingerprint, fp)
+		return fmt.Errorf("dist: fingerprint %s does not match the job configuration (%016x)", j.Fingerprint, fp)
 	}
 	if want := JobKey(j.Seed, fp); j.JobID != want {
-		return sampling.CoverageConfig{}, fmt.Errorf("dist: job_id %q does not match the study identity %q", j.JobID, want)
+		return fmt.Errorf("dist: job_id %q does not match the study identity %q", j.JobID, want)
 	}
 
 	// A resume envelope must already belong to this exact study: wrong
 	// kind (stale formulation), wrong seed/fingerprint, or corruption
 	// all refuse here, before any compute.
-	if len(j.Resume) > 0 {
+	if j.Resume != nil {
 		var probe json.RawMessage
 		if err := checkpoint.Decode(j.Resume, sampling.CoverageCheckpointKind, j.Seed, fp, &probe); err != nil {
-			return sampling.CoverageConfig{}, fmt.Errorf("dist: resume envelope rejected: %w", err)
+			return fmt.Errorf("dist: resume envelope rejected: %w", err)
 		}
 	}
-	return cfg, nil
+	return nil
 }

@@ -44,7 +44,8 @@ func mustMarshal(t *testing.T, v any) []byte {
 
 func TestJobRequestRoundTrip(t *testing.T) {
 	cfg := testStudyConfig(42)
-	job := NewJobRequest(cfg, 2, nil)
+	cfg.CheckpointEvery = 2
+	job := NewJobRequest(cfg)
 	if want := JobKey(cfg.Seed, cfg.Fingerprint()); job.JobID != want {
 		t.Fatalf("JobID = %q, want %q", job.JobID, want)
 	}
@@ -69,7 +70,8 @@ func TestJobRequestResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := NewJobRequest(cfg, 0, env)
+	cfg.Resume = env
+	job := NewJobRequest(cfg)
 	if _, _, err := DecodeJobRequest(bytes.NewReader(mustMarshal(t, job))); err != nil {
 		t.Fatalf("valid resume envelope rejected: %v", err)
 	}
@@ -77,7 +79,8 @@ func TestJobRequestResumeRoundTrip(t *testing.T) {
 
 func TestDecodeJobRequestRejects(t *testing.T) {
 	cfg := testStudyConfig(42)
-	good := NewJobRequest(cfg, 2, nil)
+	cfg.CheckpointEvery = 2
+	good := NewJobRequest(cfg)
 
 	mutate := func(f func(*JobRequest)) []byte {
 		j := good
@@ -146,11 +149,11 @@ func TestJobCheckRejectsNaNAndInf(t *testing.T) {
 		{"neg inf level", func(j *JobRequest) { j.Levels[0] = math.Inf(-1) }, "levels[0]"},
 	}
 	for _, tc := range cases {
-		j := NewJobRequest(cfg, 0, nil)
+		j := NewJobRequest(cfg)
 		j.Pilot = append([]float64(nil), cfg.Pilot...)
 		j.Levels = append([]float64(nil), cfg.Levels...)
 		tc.f(&j)
-		_, err := j.check()
+		err := j.check()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
@@ -164,7 +167,7 @@ func TestDecodeJobRequestShapeBounds(t *testing.T) {
 		"sample sizes": func(j *JobRequest) { j.SampleSizes = make([]int, maxJobSampleSizes+1) },
 		"levels":       func(j *JobRequest) { j.Levels = make([]float64, maxJobLevels+1) },
 	} {
-		j := NewJobRequest(cfg, 0, nil)
+		j := NewJobRequest(cfg)
 		f(&j)
 		if _, _, err := DecodeJobRequest(bytes.NewReader(mustMarshal(t, j))); err == nil || !strings.Contains(err.Error(), "exceed") {
 			t.Fatalf("oversize %s: err = %v", name, err)

@@ -18,6 +18,9 @@ type hashRing struct {
 	n      int         // distinct workers
 }
 
+// ringVnodes is the number of ring points per worker.
+const ringVnodes = 64
+
 type ringPoint struct {
 	hash uint64
 	addr string
@@ -47,9 +50,6 @@ func mix64(x uint64) uint64 {
 // newHashRing builds a ring with vnodes points per worker. Addresses
 // are deduplicated; order of the input does not matter.
 func newHashRing(addrs []string, vnodes int) *hashRing {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
 	seen := map[string]bool{}
 	r := &hashRing{}
 	for _, a := range addrs {

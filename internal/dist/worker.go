@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nodevar/internal/obs"
@@ -36,9 +35,6 @@ type WorkerConfig struct {
 	// eviction). A re-dispatched JobID found here replays the cached
 	// points without recompute. Default 64.
 	CacheEntries int
-	// CheckpointEvery is the streamed-progress cadence in completed
-	// chunks when the job envelope does not set one. Default 4.
-	CheckpointEvery int
 	// ChunkDelay, when positive, sleeps this long after every completed
 	// chunk. It exists for chaos and scaling harnesses that need
 	// studies with predictable wall-clock length regardless of CPU;
@@ -69,9 +65,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	}
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 64
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 4
 	}
 	if cfg.Log == nil {
 		cfg.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -171,37 +164,27 @@ func (w *Worker) handleCoverage(rw http.ResponseWriter, r *http.Request) {
 	}
 
 	mWorkerJobs.Inc()
-	if len(job.Resume) > 0 {
+	if cfg.Resume != nil {
 		mWorkerResumed.Inc()
 	}
 	gWorkerActive.Add(1)
 	defer gWorkerActive.Sub(1)
 
-	var lastDone atomic.Int64
-	total := cfg.Chunks
-	cfg.OnChunk = func(done, tot int) {
-		lastDone.Store(int64(done))
+	// Both hooks run under the study's lock, OnChunk before the save it
+	// triggers, so each frame reports the progress its envelope holds.
+	var done, total int
+	cfg.OnChunk = func(d, t int) {
+		done, total = d, t
 		if w.cfg.ChunkDelay > 0 {
 			time.Sleep(w.cfg.ChunkDelay)
 		}
 	}
-	cfg.OnCheckpoint = func(env []byte) {
-		writeFrame(Frame{
-			Type:       FrameCheckpoint,
-			Done:       int(lastDone.Load()),
-			Total:      total,
-			Checkpoint: append([]byte(nil), env...),
-		})
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = w.cfg.CheckpointEvery
-	}
-	if len(job.Resume) > 0 {
-		cfg.Resume = true
-		cfg.ResumeData = job.Resume
+	cfg.OnCheckpoint = func(env []byte) error {
+		writeFrame(Frame{Type: FrameCheckpoint, Done: done, Total: total, Checkpoint: env})
+		return nil
 	}
 
-	w.log.Info("dist worker: job start", "job", job.JobID, "replicates", cfg.Replicates, "resume", len(job.Resume) > 0)
+	w.log.Info("dist worker: job start", "job", job.JobID, "replicates", cfg.Replicates, "resume", cfg.Resume != nil)
 	points, err := sampling.CoverageStudyCtx(r.Context(), cfg)
 	if err != nil {
 		mWorkerFailed.Inc()
@@ -209,7 +192,12 @@ func (w *Worker) handleCoverage(rw http.ResponseWriter, r *http.Request) {
 		writeFrame(Frame{Type: FrameError, Error: err.Error()})
 		return
 	}
-	w.remember(job.JobID, points)
+	// Only a study computed from scratch is the JobID's answer: resume
+	// state is the sender's word, and caching its outcome would let one
+	// forged envelope answer every later honest dispatch.
+	if cfg.Resume == nil {
+		w.remember(job.JobID, points)
+	}
 	writeFrame(Frame{Type: FrameResult, Points: points})
 	w.log.Info("dist worker: job done", "job", job.JobID)
 }

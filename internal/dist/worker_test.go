@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 
+	"nodevar/internal/checkpoint"
+	"nodevar/internal/parallel"
 	"nodevar/internal/sampling"
 )
 
@@ -47,12 +49,13 @@ func TestWorkerStreamsCheckpointsAndResult(t *testing.T) {
 	defer srv.Close()
 
 	cfg := testStudyConfig(11)
+	cfg.CheckpointEvery = 2
 	want, err := sampling.CoverageStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	status, frames := postJob(t, srv.URL, NewJobRequest(cfg, 2, nil))
+	status, frames := postJob(t, srv.URL, NewJobRequest(cfg))
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
@@ -97,7 +100,7 @@ func TestWorkerStreamsCheckpointsAndResult(t *testing.T) {
 	}
 
 	// Same JobID again: replayed from the completed-job cache.
-	status, frames = postJob(t, srv.URL, NewJobRequest(cfg, 2, nil))
+	status, frames = postJob(t, srv.URL, NewJobRequest(cfg))
 	if status != http.StatusOK {
 		t.Fatalf("replay status %d", status)
 	}
@@ -117,7 +120,10 @@ func TestWorkerResumesFromEnvelope(t *testing.T) {
 	var envs [][]byte
 	ctx, cancel := context.WithCancel(context.Background())
 	first := cfg
-	first.OnCheckpoint = func(env []byte) { envs = append(envs, append([]byte(nil), env...)) }
+	first.OnCheckpoint = func(env []byte) error {
+		envs = append(envs, env)
+		return nil
+	}
 	first.OnChunk = func(done, total int) {
 		if done == 3 {
 			cancel()
@@ -133,7 +139,9 @@ func TestWorkerResumesFromEnvelope(t *testing.T) {
 	// Second life on a worker, resuming from the last envelope.
 	srv := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
 	defer srv.Close()
-	status, frames := postJob(t, srv.URL, NewJobRequest(cfg, 2, envs[len(envs)-1]))
+	cfg.CheckpointEvery = 2
+	cfg.Resume = envs[len(envs)-1]
+	status, frames := postJob(t, srv.URL, NewJobRequest(cfg))
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
@@ -193,5 +201,96 @@ func TestWorkerHealthz(t *testing.T) {
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || st.Status != "ok" {
 		t.Fatalf("healthz body: %+v, %v", st, err)
+	}
+}
+
+// TestWorkerResumedResultNotCached: a resume envelope is outside state
+// the worker cannot vouch for (its checksum is a CRC anyone can
+// compute), so a job that carried one must not seed the completed-job
+// cache. A forged envelope claiming every chunk done with zero hits
+// would otherwise make the honest dispatch that follows replay
+// coverage 0.
+func TestWorkerResumedResultNotCached(t *testing.T) {
+	srv := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
+	defer srv.Close()
+
+	cfg := testStudyConfig(31)
+	type chunk struct {
+		Ci     int       `json:"ci"`
+		Lo     int       `json:"lo"`
+		Hi     int       `json:"hi"`
+		Hits   []int64   `json:"hits"`
+		Widths []float64 `json:"widths"`
+	}
+	cells := len(cfg.SampleSizes) * len(cfg.Levels)
+	ranges := parallel.SplitRange(cfg.Replicates, cfg.Chunks)
+	var done []chunk
+	for ci, r := range ranges {
+		done = append(done, chunk{Ci: ci, Lo: r.Lo, Hi: r.Hi, Hits: make([]int64, cells), Widths: make([]float64, cells)})
+	}
+	forged, err := checkpoint.Encode(sampling.CoverageCheckpointKind, cfg.Seed, cfg.Fingerprint(),
+		map[string]any{"chunks": len(ranges), "done": done})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forgedJob := cfg
+	forgedJob.Resume = forged
+	if status, _ := postJob(t, srv.URL, NewJobRequest(forgedJob)); status != http.StatusOK {
+		t.Fatalf("forged job status %d", status)
+	}
+
+	want, err := sampling.CoverageStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, frames := postJob(t, srv.URL, NewJobRequest(cfg))
+	if status != http.StatusOK || len(frames) == 0 {
+		t.Fatalf("honest job status %d, %d frames", status, len(frames))
+	}
+	final := frames[len(frames)-1]
+	if final.Type != FrameResult || final.Cached {
+		t.Fatalf("honest job answered %+v, want a computed result", final)
+	}
+	for i := range want {
+		if final.Points[i] != want[i] {
+			t.Fatalf("point %d: %+v, want %+v", i, final.Points[i], want[i])
+		}
+	}
+}
+
+// TestWorkerFrameProgress: each checkpoint frame's Done is the number
+// of chunks in the envelope it carries and Total the study's real chunk
+// count, which is below Chunks when there are fewer replicates.
+func TestWorkerFrameProgress(t *testing.T) {
+	srv := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
+	defer srv.Close()
+
+	for _, tc := range []struct{ replicates, total int }{{400, 8}, {5, 5}} {
+		cfg := testStudyConfig(37)
+		cfg.Replicates = tc.replicates
+		status, frames := postJob(t, srv.URL, NewJobRequest(cfg))
+		if status != http.StatusOK {
+			t.Fatalf("replicates %d: status %d", tc.replicates, status)
+		}
+		checkpoints := 0
+		for _, fr := range frames {
+			if fr.Type != FrameCheckpoint {
+				continue
+			}
+			checkpoints++
+			var prog struct {
+				Done []json.RawMessage `json:"done"`
+			}
+			if err := checkpoint.Decode(fr.Checkpoint, sampling.CoverageCheckpointKind, cfg.Seed, cfg.Fingerprint(), &prog); err != nil {
+				t.Fatal(err)
+			}
+			if fr.Done != len(prog.Done) || fr.Total != tc.total {
+				t.Fatalf("replicates %d: frame reports %d/%d, envelope holds %d of %d chunks",
+					tc.replicates, fr.Done, fr.Total, len(prog.Done), tc.total)
+			}
+		}
+		if checkpoints == 0 {
+			t.Fatalf("replicates %d: no checkpoint frames", tc.replicates)
+		}
 	}
 }

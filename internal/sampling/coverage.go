@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -45,63 +44,60 @@ const coverageKind = "sampling/coverage-study/v2"
 // accepting it.
 const CoverageCheckpointKind = coverageKind
 
+// defaultCheckpointEvery is the checkpoint cadence, in completed
+// chunks, of a study whose CheckpointEvery is unset.
+const defaultCheckpointEvery = 4
+
 // CoverageConfig describes a Figure-3 style bootstrap calibration study.
+// Its JSON form is the study half of the internal/dist job envelope, so
+// the tags are wire names; the hooks never travel.
 type CoverageConfig struct {
 	// Pilot is the observed per-node power dataset (e.g. the 516-node LRZ
 	// pilot sample).
-	Pilot []float64
+	Pilot []float64 `json:"pilot"`
 	// Population is the full machine size N to simulate (e.g. 9216).
-	Population int
+	Population int `json:"population"`
 	// SampleSizes are the subset sizes n to evaluate.
-	SampleSizes []int
+	SampleSizes []int `json:"sample_sizes"`
 	// Levels are the nominal confidence levels, e.g. 0.80, 0.95, 0.99.
-	Levels []float64
+	Levels []float64 `json:"levels"`
 	// Replicates is the number of simulated machines per (n, level)
 	// point; the paper used 100000.
-	Replicates int
+	Replicates int `json:"replicates"`
 	// Seed fixes the experiment's randomness.
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Chunks controls the deterministic parallel decomposition (default
 	// 64). Results are bit-identical for a fixed (Seed, Chunks) pair
 	// regardless of GOMAXPROCS.
-	Chunks int
+	Chunks int `json:"chunks"`
 	// UseZ replaces the exact t critical values of Equation 1 with the
 	// normal-quantile approximation of Equation 2, quantifying the
 	// paper's small-n under-coverage caveat.
-	UseZ bool
+	UseZ bool `json:"use_z,omitempty"`
 
-	// Checkpoint, when non-empty, is a file path where completed-chunk
-	// progress is saved so an interrupted study can resume. The file is
-	// stamped with the seed and a fingerprint of every result-shaping
-	// field above; loading it under a different configuration fails.
-	Checkpoint string
-	// CheckpointEvery is the save cadence in completed chunks (default 8
-	// when Checkpoint is set). A final save also runs on cancellation.
-	CheckpointEvery int
-	// Resume, with Checkpoint or ResumeData set, loads existing progress
-	// before running; only the chunks the checkpoint lacks are executed,
-	// and the final output is bit-identical to an uninterrupted run. A
-	// missing checkpoint file is a fresh start, not an error.
-	Resume bool
-	// ResumeData, with Resume set, is an in-memory checkpoint envelope
-	// (the bytes checkpoint.Encode produced, e.g. a progress frame
-	// streamed from a dying worker) to resume from instead of reading
-	// Checkpoint from disk. It is verified against the study's kind,
-	// seed and fingerprint exactly as a file would be.
-	ResumeData []byte
+	// CheckpointEvery is the cadence, in completed chunks, at which
+	// OnCheckpoint receives progress (default 4). A
+	// final save also runs on completion and on cancellation.
+	CheckpointEvery int `json:"checkpoint_every,omitempty"`
+	// Resume, when non-nil, is a checkpoint envelope (bytes an earlier
+	// OnCheckpoint received, from a file or a dying worker's stream) to
+	// resume from; nil is a fresh start. It is verified against the
+	// study's kind, seed and fingerprint, only the chunks it lacks are
+	// executed, and the final output is bit-identical to an
+	// uninterrupted run.
+	Resume []byte `json:"resume,omitempty"`
 	// OnCheckpoint, if set, receives the encoded checkpoint envelope at
-	// every save cadence (including the final flush) — the same bytes
-	// Checkpoint would persist. Workers use it to stream replicate-chunk
-	// progress to a remote supervisor; resuming from the last received
-	// envelope elsewhere is byte-identical to never having died. It runs
-	// under the study's internal lock: keep it fast.
-	OnCheckpoint func(envelope []byte)
+	// every save cadence (including the final flush). Its first error
+	// fails the study once the run ends. It runs under the study's
+	// internal lock: keep it fast.
+	OnCheckpoint func(envelope []byte) error `json:"-"`
 	// OnChunk, if set, is called after each chunk of the current run is
-	// recorded, with the total number of completed chunks (including
-	// resumed ones) and the total chunk count. It runs under the study's
-	// internal lock: keep it fast and do not call back into the study.
-	// Test harnesses use it to cancel at exact points.
-	OnChunk func(done, total int)
+	// recorded and before any save it triggers, with the total number of
+	// completed chunks (including resumed ones) and the study's chunk
+	// count. It runs under the study's internal lock: keep it fast and
+	// do not call back into the study. Test harnesses use it to cancel
+	// at exact points.
+	OnChunk func(done, total int) `json:"-"`
 }
 
 // Validate checks the configuration.
@@ -117,8 +113,6 @@ func (c CoverageConfig) Validate() error {
 		return errors.New("sampling: no confidence levels given")
 	case c.Replicates < 1:
 		return errors.New("sampling: replicates must be positive")
-	case c.Resume && c.Checkpoint == "" && len(c.ResumeData) == 0:
-		return errors.New("sampling: Resume requires a Checkpoint path or ResumeData")
 	}
 	for _, n := range c.SampleSizes {
 		if n < 2 || n > c.Population {
@@ -263,7 +257,7 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 	}
 	saveEvery := cfg.CheckpointEvery
 	if saveEvery <= 0 {
-		saveEvery = 8
+		saveEvery = defaultCheckpointEvery
 	}
 	nSizes, nLevels := len(cfg.SampleSizes), len(cfg.Levels)
 
@@ -276,17 +270,10 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 	fp := cfg.Fingerprint()
 
 	results := make([]*chunkResult, len(ranges))
-	if cfg.Resume {
+	if cfg.Resume != nil {
 		var prog coverageProgress
-		var err error
-		if len(cfg.ResumeData) > 0 {
-			err = checkpoint.Decode(cfg.ResumeData, coverageKind, cfg.Seed, fp, &prog)
-		} else {
-			err = checkpoint.Load(cfg.Checkpoint, coverageKind, cfg.Seed, fp, &prog)
-		}
+		err := checkpoint.Decode(cfg.Resume, coverageKind, cfg.Seed, fp, &prog)
 		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// Fresh start.
 		case err != nil:
 			return nil, err
 		case prog.Chunks != len(ranges):
@@ -364,33 +351,20 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 		}
 		return prog
 	}
-	// save flushes progress under mu: encoded once, then written to the
-	// checkpoint file (atomically and durably — a crash mid-flush leaves
-	// the previous checkpoint intact) and/or handed to the streaming
-	// callback. Both sinks see the same envelope bytes, so a streamed
-	// frame and a file checkpoint of the same progress are
-	// interchangeable.
+	// save hands the encoded progress to OnCheckpoint under mu, keeping
+	// the first failure for the end of the run.
 	save := func() {
-		if cfg.Checkpoint == "" && cfg.OnCheckpoint == nil {
+		sinceSave = 0
+		if cfg.OnCheckpoint == nil {
 			return
 		}
 		env, err := checkpoint.Encode(coverageKind, cfg.Seed, fp, snapshot())
-		if err != nil {
-			if saveErr == nil {
-				saveErr = err
-			}
-			sinceSave = 0
-			return
+		if err == nil {
+			err = cfg.OnCheckpoint(env)
 		}
-		if cfg.Checkpoint != "" {
-			if err := checkpoint.WriteFileAtomic(cfg.Checkpoint, env); err != nil && saveErr == nil {
-				saveErr = err
-			}
+		if err != nil && saveErr == nil {
+			saveErr = err
 		}
-		if cfg.OnCheckpoint != nil {
-			cfg.OnCheckpoint(env)
-		}
-		sinceSave = 0
 	}
 
 	// Execute only the chunks the checkpoint did not already cover.
@@ -479,11 +453,11 @@ func CoverageStudyCtx(ctx context.Context, cfg CoverageConfig) ([]CoveragePoint,
 		results[ci] = &chunkResult{Ci: ci, Lo: r.Lo, Hi: r.Hi, Hits: localHits, Widths: localWidth}
 		doneCount++
 		sinceSave++
-		if sinceSave >= saveEvery {
-			save()
-		}
 		if cfg.OnChunk != nil {
 			cfg.OnChunk(doneCount, len(ranges))
+		}
+		if sinceSave >= saveEvery {
+			save()
 		}
 		mu.Unlock()
 		hBootChunk.Observe(time.Since(tChunk).Seconds())

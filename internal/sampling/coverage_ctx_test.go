@@ -3,22 +3,26 @@ package sampling
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"nodevar/internal/checkpoint"
 )
 
-func ctxStudyConfig(t *testing.T) CoverageConfig {
+// ctxStudyConfig is a 16-chunk study whose checkpoints land in *last.
+func ctxStudyConfig(last *[]byte) CoverageConfig {
 	cfg := defaultCoverageConfig()
 	cfg.Replicates = 1600
 	cfg.Chunks = 16
-	cfg.Checkpoint = filepath.Join(t.TempDir(), "study.ckpt")
+	cfg.OnCheckpoint = func(env []byte) error {
+		*last = env
+		return nil
+	}
 	return cfg
 }
 
 func TestCoverageStudyCtxCanceledReturnsPartial(t *testing.T) {
-	cfg := ctxStudyConfig(t)
+	var last []byte
+	cfg := ctxStudyConfig(&last)
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg.OnChunk = func(done, total int) {
 		if done == 3 {
@@ -42,15 +46,15 @@ func TestCoverageStudyCtxCanceledReturnsPartial(t *testing.T) {
 		}
 	}
 
-	// The flushed checkpoint must load under the same config...
+	// The flushed checkpoint must decode under the same config...
 	var prog struct {
 		Chunks int `json:"chunks"`
 		Done   []struct {
 			Ci int `json:"ci"`
 		} `json:"done"`
 	}
-	if err := checkpoint.Load(cfg.Checkpoint, "sampling/coverage-study/v2", cfg.Seed, cfg.Fingerprint(), &prog); err != nil {
-		t.Fatalf("flushed checkpoint does not load: %v", err)
+	if err := checkpoint.Decode(last, "sampling/coverage-study/v2", cfg.Seed, cfg.Fingerprint(), &prog); err != nil {
+		t.Fatalf("flushed checkpoint does not decode: %v", err)
 	}
 	if prog.Chunks != 16 || len(prog.Done) == 0 || len(prog.Done) >= 16 {
 		t.Fatalf("checkpoint records %d/%d chunks; want a genuine partial set", len(prog.Done), prog.Chunks)
@@ -59,13 +63,13 @@ func TestCoverageStudyCtxCanceledReturnsPartial(t *testing.T) {
 	// ...and resuming it to completion matches an uninterrupted run.
 	resumeCfg := cfg
 	resumeCfg.OnChunk = nil
-	resumeCfg.Resume = true
+	resumeCfg.Resume = last
 	resumed, err := CoverageStudyCtx(context.Background(), resumeCfg)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
 	clean := cfg
-	clean.Checkpoint, clean.OnChunk = "", nil
+	clean.OnCheckpoint, clean.OnChunk = nil, nil
 	ref, err := CoverageStudy(clean)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
@@ -78,7 +82,8 @@ func TestCoverageStudyCtxCanceledReturnsPartial(t *testing.T) {
 }
 
 func TestCoverageStudyResumeRejectsChangedConfig(t *testing.T) {
-	cfg := ctxStudyConfig(t)
+	var last []byte
+	cfg := ctxStudyConfig(&last)
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg.OnChunk = func(done, total int) {
 		if done == 2 {
@@ -91,7 +96,7 @@ func TestCoverageStudyResumeRejectsChangedConfig(t *testing.T) {
 
 	changed := cfg
 	changed.OnChunk = nil
-	changed.Resume = true
+	changed.Resume = last
 	changed.SampleSizes = append([]int{2}, cfg.SampleSizes...)
 	_, err := CoverageStudyCtx(context.Background(), changed)
 	if !errors.Is(err, checkpoint.ErrMismatch) {
@@ -99,23 +104,14 @@ func TestCoverageStudyResumeRejectsChangedConfig(t *testing.T) {
 	}
 }
 
-func TestCoverageStudyResumeMissingCheckpointIsFreshStart(t *testing.T) {
-	cfg := ctxStudyConfig(t)
-	cfg.Replicates = 400
-	cfg.Resume = true
-	pts, err := CoverageStudyCtx(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("resume with no checkpoint file: %v", err)
-	}
-	if len(pts) == 0 || pts[0].Replicates != cfg.Replicates {
-		t.Fatalf("fresh-start resume produced %v", pts)
-	}
-}
-
-func TestCoverageStudyValidateResumeNeedsPath(t *testing.T) {
+// TestCoverageStudyCheckpointSinkErrorFails: progress the sink could not
+// save fails the study instead of passing for safe.
+func TestCoverageStudyCheckpointSinkErrorFails(t *testing.T) {
 	cfg := defaultCoverageConfig()
-	cfg.Resume = true
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Resume without Checkpoint validated")
+	cfg.Replicates = 400
+	sinkErr := errors.New("disk full")
+	cfg.OnCheckpoint = func([]byte) error { return sinkErr }
+	if _, err := CoverageStudy(cfg); !errors.Is(err, sinkErr) {
+		t.Fatalf("err = %v, want the checkpoint sink's error", err)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // TestCoverageStudyStreamedResumeByteIdentical is the transport-level
 // resume contract the distributed engine rides on: a study that streams
 // progress envelopes through OnCheckpoint, dies mid-run, and is resumed
-// elsewhere from the last streamed envelope (ResumeData, no filesystem
+// elsewhere from the last streamed envelope (Resume, no filesystem
 // involved) finishes with Float64bits-identical output to an
 // uninterrupted single-process run.
 func TestCoverageStudyStreamedResumeByteIdentical(t *testing.T) {
@@ -32,8 +32,9 @@ func TestCoverageStudyStreamedResumeByteIdentical(t *testing.T) {
 		var frames [][]byte
 		ctx, cancel := context.WithCancel(context.Background())
 		first := cfg
-		first.OnCheckpoint = func(env []byte) {
-			frames = append(frames, append([]byte(nil), env...))
+		first.OnCheckpoint = func(env []byte) error {
+			frames = append(frames, env)
+			return nil
 		}
 		first.OnChunk = func(done, total int) {
 			if done == 5 {
@@ -49,8 +50,7 @@ func TestCoverageStudyStreamedResumeByteIdentical(t *testing.T) {
 
 		// Second life: resume from the last streamed envelope only.
 		second := cfg
-		second.Resume = true
-		second.ResumeData = frames[len(frames)-1]
+		second.Resume = frames[len(frames)-1]
 		executed := 0
 		second.OnChunk = func(done, total int) { executed++ }
 		got, err := CoverageStudyCtx(context.Background(), second)
@@ -87,8 +87,9 @@ func TestCoverageStudyResumeDataRejectsMismatch(t *testing.T) {
 	var frames [][]byte
 	ctx, cancel := context.WithCancel(context.Background())
 	first := cfg
-	first.OnCheckpoint = func(env []byte) {
-		frames = append(frames, append([]byte(nil), env...))
+	first.OnCheckpoint = func(env []byte) error {
+		frames = append(frames, env)
+		return nil
 	}
 	first.OnChunk = func(done, total int) {
 		if done == 2 {
@@ -104,8 +105,7 @@ func TestCoverageStudyResumeDataRejectsMismatch(t *testing.T) {
 
 	other := cfg
 	other.Seed = cfg.Seed + 1
-	other.Resume = true
-	other.ResumeData = frames[len(frames)-1]
+	other.Resume = frames[len(frames)-1]
 	if _, err := CoverageStudyCtx(context.Background(), other); !errors.Is(err, checkpoint.ErrMismatch) {
 		t.Fatalf("resume with foreign envelope: err = %v, want checkpoint.ErrMismatch", err)
 	}

@@ -1,7 +1,7 @@
 // Package resumetest is the interrupt/resume harness for the bootstrap
 // coverage study: it runs one scenario — a clean reference study, then
 // the same study repeatedly canceled at seeded random chunk counts and
-// resumed from its checkpoint until it completes — and returns a
+// resumed from its last checkpoint envelope until it completes — and returns a
 // deterministic Outcome. The invariant the test suite asserts over it:
 // no matter where the interruptions land, the final result is
 // byte-identical to the uninterrupted run.
@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 
 	"nodevar/internal/rng"
 	"nodevar/internal/sampling"
@@ -23,8 +22,8 @@ import (
 
 // Scenario is one interrupt/resume experiment.
 type Scenario struct {
-	// Config is the study under test. Its Checkpoint, Resume and OnChunk
-	// fields are managed by the harness and ignored if set.
+	// Config is the study under test. Its Resume, OnCheckpoint and
+	// OnChunk fields are managed by the harness and ignored if set.
 	Config sampling.CoverageConfig
 	// Seed drives the harness's own randomness: where each round's
 	// cancellation lands.
@@ -61,13 +60,14 @@ func (o Outcome) Identical() bool {
 	return true
 }
 
-// Run executes the scenario, checkpointing into dir. It returns an error
-// if any run fails for a reason other than the harness's own
-// cancellation, or if the study does not complete within MaxRounds.
-func Run(dir string, sc Scenario) (Outcome, error) {
+// Run executes the scenario, carrying each round's last checkpoint
+// envelope into the next. It returns an error if any run fails for a
+// reason other than the harness's own cancellation, or if the study does
+// not complete within MaxRounds.
+func Run(sc Scenario) (Outcome, error) {
 	var out Outcome
 	base := sc.Config
-	base.Checkpoint, base.Resume, base.OnChunk = "", false, nil
+	base.Resume, base.OnCheckpoint, base.OnChunk = nil, nil, nil
 
 	ref, err := sampling.CoverageStudy(base)
 	if err != nil {
@@ -88,13 +88,16 @@ func Run(dir string, sc Scenario) (Outcome, error) {
 	}
 
 	hr := rng.New(sc.Seed)
-	ckPath := filepath.Join(dir, "coverage.ckpt")
+	var last []byte
 	for round := 0; round < maxRounds; round++ {
 		out.Rounds++
 		ctx, cancel := context.WithCancel(context.Background())
 		runCfg := base
-		runCfg.Checkpoint = ckPath
-		runCfg.Resume = true
+		runCfg.Resume = last
+		runCfg.OnCheckpoint = func(env []byte) error {
+			last = env // serialized: saves run under the study's lock
+			return nil
+		}
 		// Cancel after 1..chunks newly completed chunks: at least one, so
 		// every round makes progress; possibly more than remain, in which
 		// case the run completes untouched.

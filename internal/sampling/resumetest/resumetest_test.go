@@ -30,14 +30,15 @@ func smallStudy(seed uint64) sampling.CoverageConfig {
 }
 
 // TestInterruptResume is the headline robustness gate: cancel the study
-// at seeded random points, resume from checkpoint, and demand the final
-// output be byte-identical to a run that was never interrupted.
+// at seeded random points, resume from the last checkpoint, and demand
+// the final output be byte-identical to a run that was never
+// interrupted.
 func TestInterruptResume(t *testing.T) {
 	for _, seed := range resumeSeeds {
 		seed := seed
 		t.Run("seed="+itoa(seed), func(t *testing.T) {
 			t.Parallel()
-			out, err := Run(t.TempDir(), Scenario{Config: smallStudy(seed), Seed: seed * 1000003})
+			out, err := Run(Scenario{Config: smallStudy(seed), Seed: seed * 1000003})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +60,7 @@ func TestInterruptResume(t *testing.T) {
 func TestHarnessActuallyInterrupts(t *testing.T) {
 	total := 0
 	for _, seed := range resumeSeeds[:3] {
-		out, err := Run(t.TempDir(), Scenario{Config: smallStudy(seed), Seed: seed})
+		out, err := Run(Scenario{Config: smallStudy(seed), Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,14 +113,6 @@ type Config struct {
 	// SLOObjective is the per-endpoint success-fraction objective behind
 	// the error-budget readiness check. Default 0.99.
 	SLOObjective float64
-	// SLOLatencyTargets overrides per-endpoint latency targets in
-	// seconds; a request slower than its endpoint's target burns error
-	// budget even when it succeeds. Defaults: 30s for coverage (a
-	// bootstrap study is legitimately slow), 250ms for everything else.
-	SLOLatencyTargets map[string]float64
-	// ReadyMaxShedRate is the fraction of requests shed over the trailing
-	// readiness window past which /healthz/ready degrades. Default 0.5.
-	ReadyMaxShedRate float64
 	// MaxFleets caps how many named streaming fleets the server tracks;
 	// past the cap, the least-recently-ingested fleet is evicted. Default
 	// fleet.DefaultMaxFleets (64).
@@ -140,9 +132,11 @@ type Config struct {
 	Dist *dist.Frontend
 }
 
-// defaultSLOTargets are the built-in per-endpoint latency targets in
-// seconds (see Config.SLOLatencyTargets).
-var defaultSLOTargets = map[string]float64{
+// sloTargets are the per-endpoint latency targets in seconds; a request
+// slower than its endpoint's target burns error budget even when it
+// succeeds. The studies get 30s (a bootstrap study is legitimately
+// slow), every other endpoint 250ms.
+var sloTargets = map[string]float64{
 	"samplesize":       0.25,
 	"accuracy":         0.25,
 	"table5":           0.25,
@@ -157,11 +151,8 @@ var defaultSLOTargets = map[string]float64{
 }
 
 // sloTarget resolves one endpoint's latency target.
-func (s *Server) sloTarget(name string) float64 {
-	if t, ok := s.cfg.SLOLatencyTargets[name]; ok && t > 0 {
-		return t
-	}
-	if t, ok := defaultSLOTargets[name]; ok {
+func sloTarget(name string) float64 {
+	if t, ok := sloTargets[name]; ok {
 		return t
 	}
 	return 0.25
@@ -252,9 +243,6 @@ func New(cfg Config) *Server {
 	}
 	if !(cfg.SLOObjective > 0 && cfg.SLOObjective < 1) {
 		cfg.SLOObjective = 0.99
-	}
-	if cfg.ReadyMaxShedRate <= 0 || cfg.ReadyMaxShedRate > 1 {
-		cfg.ReadyMaxShedRate = 0.5
 	}
 	if cfg.MaxFleets <= 0 {
 		cfg.MaxFleets = fleet.DefaultMaxFleets
