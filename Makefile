@@ -97,26 +97,27 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
 # The benchmark-regression gate. bench-baseline records the key benches
-# (the ones the count-based bootstrap rewrite is measured by) into
+# (the ones the count-based bootstrap and the BTRS fast path are
+# measured by, the ablation's odd-heavy robustness study included) into
 # BENCH_BASELINE; bench-compare re-runs them and fails on a >15% ns/op
 # regression against the committed baseline, and additionally locks in
 # the rewrite's speedup against the pre-rewrite BENCH_4.json trajectory
 # point (>=5x ns/op and >=10x B/op on the two bootstrap-bound benches).
-# -count=3 with benchgate's min-merge filters scheduler noise.
-BENCH_BASELINE ?= BENCH_6.json
-BENCH_KEY = Table4$$|Figure3$$|BootstrapReplicates$$|CoverageStudyReplicate$$
-BENCH_COUNT ?= 3
+# -count=6 with benchgate's min-merge filters scheduler noise.
+BENCH_BASELINE ?= BENCH_15.json
+BENCH_KEY = Table4$$|Figure3$$|Ablation$$|BootstrapReplicates$$|CoverageStudyReplicate$$
+BENCH_COUNT ?= 6
 
 .PHONY: bench-baseline bench-compare
 bench-baseline:
 	$(GO) test -run='^$$' -bench='$(BENCH_KEY)' -benchmem -count=$(BENCH_COUNT) . ./internal/sampling \
 	  | $(GO) run ./cmd/benchgate -emit $(BENCH_BASELINE) \
-	      -note "key-bench baseline for the count-based bootstrap (PR 6)"
+	      -note "key-bench baseline after the table-driven BTRS fast path"
 
 bench-compare:
 	$(GO) test -run='^$$' -bench='$(BENCH_KEY)' -benchmem -count=$(BENCH_COUNT) . ./internal/sampling > /tmp/bench-current.txt
 	$(GO) run ./cmd/benchgate -current /tmp/bench-current.txt -baseline $(BENCH_BASELINE) \
-	  -max-regress 0.15 -require Table4,Figure3,BootstrapReplicates,CoverageStudy
+	  -max-regress 0.15 -require Table4,Figure3,Ablation,BootstrapReplicates,CoverageStudy
 	$(GO) run ./cmd/benchgate -current /tmp/bench-current.txt -baseline BENCH_4.json \
 	  -improve Figure3,BootstrapReplicates -min-speedup 5 -min-memratio 10
 

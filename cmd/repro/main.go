@@ -4,7 +4,7 @@
 //
 //	repro -exp all                      # everything, to stdout
 //	repro -exp table5                   # one artifact
-//	repro -exp figure3 -replicates 100000
+//	repro -exp figure3 -replicates 20000 # a quicker, coarser Figure 3
 //	repro -exp all -out results/        # also write per-table CSV files
 //	repro -exp figure3 -checkpoint fig3.ckpt -resume -timeout 30m
 //
@@ -36,7 +36,7 @@ func realMain() int {
 		exp        = flag.String("exp", "all", "experiment id or 'all' (ids: "+idList()+")")
 		seed       = flag.Uint64("seed", 2015, "random seed")
 		samples    = flag.Int("samples", 2000, "trace resolution")
-		replicates = flag.Int("replicates", 20000, "Figure 3 bootstrap replicates (paper used 100000)")
+		replicates = flag.Int("replicates", 100000, "Figure 3 bootstrap replicates (the paper's 100000)")
 		trials     = flag.Int("trials", 200, "repeated measurements in the rules study")
 		out        = flag.String("out", "", "directory for CSV output (optional)")
 		svg        = flag.String("svg", "", "directory for SVG figure output (optional)")

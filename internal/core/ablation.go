@@ -58,7 +58,7 @@ func runAblation(ctx context.Context, opts Options) (Result, error) {
 		sampling.PilotNormal, sampling.PilotOutliers,
 		sampling.PilotBimodal, sampling.PilotSkewed,
 	}
-	rb, err := sampling.RobustnessStudy(shapes, []int{5, 16, 50}, 0.95,
+	rb, err := sampling.RobustnessStudy(ctx, shapes, []int{5, 16, 50}, 0.95,
 		600, 9216, opts.Replicates/2, opts.Seed)
 	if err != nil {
 		return nil, err
@@ -95,7 +95,12 @@ func runAblation(ctx context.Context, opts Options) (Result, error) {
 	}
 	tables = append(tables, ft)
 
-	// 4. Fan-speed pinning (the Section 5 mitigation) on node CV.
+	// 4. Fan-speed pinning (the Section 5 mitigation) on node CV. The
+	// cluster simulations take no context, so cancellation is observed
+	// before each of them.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	fanTable, err := fanAblation(opts)
 	if err != nil {
 		return nil, err
@@ -103,6 +108,9 @@ func runAblation(ctx context.Context, opts Options) (Result, error) {
 	tables = append(tables, fanTable)
 
 	// 5. Workload balance (the scope condition of Section 4).
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	balTable, err := balanceAblation(opts)
 	if err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"nodevar/internal/parallel"
 	"nodevar/internal/systems"
@@ -129,5 +130,20 @@ func TestFigure3CheckpointOptionsThread(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Fatalf("resumed figure3 renders differently:\n%s\nwant:\n%s", got.String(), want.String())
+	}
+}
+
+func TestAblationHonorsDeadline(t *testing.T) {
+	// A paper-scale ablation runs for seconds; its deadline must stop it
+	// in whichever phase is running, the robustness study included,
+	// instead of completing with a nil error.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	res, err := RunCtx(ctx, Ablation, Options{Replicates: 100000})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if res != nil {
+		t.Fatal("a timed-out ablation returned a result")
 	}
 }

@@ -55,7 +55,8 @@ type Options struct {
 	// TraceSamples is the resolution of generated traces (default 2000).
 	TraceSamples int
 	// Replicates is the Figure 3 bootstrap replicate count (default
-	// 20000; the paper used 100000).
+	// 100000, the paper's); the ablation's interval and robustness
+	// studies run half as many each.
 	Replicates int
 	// MeasurementTrials is how many repeated measurements the rules
 	// experiment takes per configuration (default 200).
@@ -76,7 +77,7 @@ func (o Options) fill() Options {
 		o.TraceSamples = 2000
 	}
 	if o.Replicates <= 0 {
-		o.Replicates = 20000
+		o.Replicates = 100000
 	}
 	if o.MeasurementTrials <= 0 {
 		o.MeasurementTrials = 200

@@ -9,6 +9,7 @@ package rng_test
 // wrong-branch sampler fails catastrophically.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -383,13 +384,20 @@ func BenchmarkHypergeometric(b *testing.B) {
 }
 
 // BenchmarkMultinomialEqual is the RNG cost of one count-based machine
-// draw on the LRZ shape (pilot 516, N 9216).
+// draw of N 9216 nodes over two pilot shapes: the 516-value LRZ pilot,
+// whose halving tree has 28 odd splits, and the 600-value pilot of the
+// ablation robustness study, whose 256 odd splits are general binomial
+// draws.
 func BenchmarkMultinomialEqual(b *testing.B) {
-	r := rng.New(1)
-	counts := make([]int, 516)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.MultinomialEqual(9216, counts)
+	for _, k := range []int{516, 600} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			r := rng.New(1)
+			counts := make([]int, k)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.MultinomialEqual(9216, counts)
+			}
+		})
 	}
 }
 

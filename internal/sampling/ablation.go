@@ -183,16 +183,22 @@ type RobustnessPoint struct {
 }
 
 // RobustnessStudy measures CI coverage across pilot shapes, quantifying
-// where the methodology's normality assumption actually matters.
-func RobustnessStudy(shapes []PilotShape, sampleSizes []int, level float64,
+// where the methodology's normality assumption actually matters. It
+// runs one coverage study per shape under ctx, and a canceled ctx
+// returns ctx.Err() before the next study starts (or from the running
+// study at its next chunk boundary).
+func RobustnessStudy(ctx context.Context, shapes []PilotShape, sampleSizes []int, level float64,
 	pilotSize, population, replicates int, seed uint64) ([]RobustnessPoint, error) {
 	var out []RobustnessPoint
 	for _, shape := range shapes {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		pilot, err := SyntheticPilot(shape, pilotSize, 400, 0.025, seed)
 		if err != nil {
 			return nil, err
 		}
-		points, err := CoverageStudy(CoverageConfig{
+		points, err := CoverageStudyCtx(ctx, CoverageConfig{
 			Pilot:       pilot,
 			Population:  population,
 			SampleSizes: sampleSizes,

@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -81,7 +83,7 @@ func TestSyntheticPilotErrors(t *testing.T) {
 }
 
 func TestRobustnessStudyShapesMatter(t *testing.T) {
-	points, err := RobustnessStudy(
+	points, err := RobustnessStudy(context.Background(),
 		[]PilotShape{PilotNormal, PilotSkewed},
 		[]int{5, 50},
 		0.95,
@@ -141,5 +143,22 @@ func TestFPCStudy(t *testing.T) {
 	last := effects[len(effects)-1]
 	if last.WithoutFPC-last.WithFPC > 2 {
 		t.Errorf("FPC still large at N=100000: %+v", last)
+	}
+}
+
+func TestRobustnessStudyCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := mBootStudies.Value()
+	points, err := RobustnessStudy(ctx, []PilotShape{PilotNormal, PilotSkewed},
+		[]int{5}, 0.95, 600, 9216, 50000, 11)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if points != nil {
+		t.Fatalf("canceled study returned %d points", len(points))
+	}
+	if n := mBootStudies.Value() - before; n != 0 {
+		t.Fatalf("canceled study ran %d coverage studies, want 0", n)
 	}
 }
