@@ -48,3 +48,21 @@ func TestMatrixOrderForRuntimeGolden(t *testing.T) {
 		t.Errorf("%d HPL presets, golden covers %d", seen, len(want))
 	}
 }
+
+// BenchmarkMatrixOrderForRuntime times the order search a distortion
+// study runs for its HPL target: the colosse preset on 256 nodes fitted
+// to an 1800 s core phase.
+func BenchmarkMatrixOrderForRuntime(b *testing.B) {
+	spec, err := systems.ByKey("colosse")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := spec.HPL
+	cfg.Nodes = 256
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := hpl.MatrixOrderForRuntime(cfg, 1800); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
