@@ -163,12 +163,17 @@ dist-check:
 # The meter-model gate: the instrument stack (drift-free sampling grid,
 # quantizer rounding, windowed/OCC architectures), the workload layer it
 # measures, and the methodology distortion comparison, all under the
-# race detector, then the spec and model fuzz targets (arbitrary specs
-# and windows: no panics, exact sample grids, bounded averages). go test
-# accepts one -fuzz target per invocation, hence the separate runs.
+# race detector, then the allocation gate on the pilot-phase reads
+# (skipped under -race, so run again without it), one pass of the
+# simulation-path benchmarks so they cannot rot, and the spec and model
+# fuzz targets (arbitrary specs and windows: no panics, exact sample
+# grids, bounded averages). go test accepts one -fuzz target per
+# invocation, hence the separate runs.
 meter-check:
 	$(GO) test -race -count=1 ./internal/meter ./internal/workload ./internal/methodology ./internal/systems
 	$(GO) test -race -count=1 -run 'TestMeters|TestDistortion' ./internal/server
+	$(GO) test -count=1 -run 'TestReadsAllocateConstant' ./internal/meter
+	$(GO) test -run '^$$' -bench 'MeterAveragePower|CompareMeters|MatrixOrderForRuntime' -benchtime 1x -benchmem ./internal/meter ./internal/methodology ./internal/hpl
 	$(GO) test -run='^$$' -fuzz=FuzzMeterSpec -fuzztime=$(METER_FUZZTIME) ./internal/meter
 	$(GO) test -run='^$$' -fuzz=FuzzMeterModels -fuzztime=$(METER_FUZZTIME) ./internal/meter
 

@@ -124,12 +124,33 @@ func Simulate(c Config) (*Run, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	steps := make([]Step, 0, (c.MatrixOrder+c.BlockSize-1)/c.BlockSize)
+	now := c.progress(func(s Step) { steps = append(steps, s) })
+	nf := float64(c.MatrixOrder)
+	totalFlops := 2.0/3.0*nf*nf*nf + 1.5*nf*nf
+	run := &Run{
+		Config:       c,
+		Steps:        steps,
+		CoreDuration: now,
+		TotalFlops:   totalFlops,
+		Rmax:         power.GFlops(totalFlops / now / 1e9),
+	}
+	run.stepStarts = make([]float64, len(steps))
+	for i, s := range steps {
+		run.stepStarts[i] = s.Start
+	}
+	return run, nil
+}
+
+// progress walks the panel steps of a validated configuration in order
+// and returns the core-phase duration, their sum. step, when non-nil,
+// receives each step; the order search passes nil and keeps none.
+func (c Config) progress(step func(Step)) float64 {
 	n := c.MatrixOrder
 	nb := c.BlockSize
 	machinePeak := float64(c.NodePeak) * float64(c.Nodes) * 1e9 // flops/s
 
 	nSteps := (n + nb - 1) / nb
-	steps := make([]Step, 0, nSteps)
 	now := 0.0
 	for k := 0; k < nSteps; k++ {
 		m := n - k*nb
@@ -147,34 +168,23 @@ func Simulate(c Config) (*Run, error) {
 		panelFlops := float64(m) * float64(width) * float64(width)
 		panelTime := panelFlops / (machinePeak * c.PanelFraction)
 		dur := updateTime + panelTime + c.StepOverhead
-		// Utilization: rate-weighted activity normalized so full-speed
-		// DGEMM on a huge trailing matrix is 1.0; the fixed overhead
-		// contributes zero activity.
-		util := (updateTime*eff + panelTime*c.PanelFraction) /
-			(dur * c.PeakEfficiency)
-		steps = append(steps, Step{
-			Start:       now,
-			Duration:    dur,
-			Trailing:    m,
-			Utilization: util,
-			Flops:       updateFlops + panelFlops,
-		})
+		if step != nil {
+			// Utilization: rate-weighted activity normalized so
+			// full-speed DGEMM on a huge trailing matrix is 1.0; the
+			// fixed overhead contributes zero activity.
+			util := (updateTime*eff + panelTime*c.PanelFraction) /
+				(dur * c.PeakEfficiency)
+			step(Step{
+				Start:       now,
+				Duration:    dur,
+				Trailing:    m,
+				Utilization: util,
+				Flops:       updateFlops + panelFlops,
+			})
+		}
 		now += dur
 	}
-	nf := float64(n)
-	totalFlops := 2.0/3.0*nf*nf*nf + 1.5*nf*nf
-	run := &Run{
-		Config:       c,
-		Steps:        steps,
-		CoreDuration: now,
-		TotalFlops:   totalFlops,
-		Rmax:         power.GFlops(totalFlops / now / 1e9),
-	}
-	run.stepStarts = make([]float64, len(steps))
-	for i, s := range steps {
-		run.stepStarts[i] = s.Start
-	}
-	return run, nil
+	return now
 }
 
 // UtilizationAt returns the machine utilization at core-phase time t
@@ -234,11 +244,10 @@ func MatrixOrderForRuntime(template Config, target float64) (int, error) {
 		if c.BlockSize > n {
 			c.BlockSize = n
 		}
-		run, err := Simulate(c)
-		if err != nil {
+		if err := c.Validate(); err != nil {
 			return 0, err
 		}
-		return run.CoreDuration, nil
+		return c.progress(nil), nil
 	}
 	lo := template.BlockSize
 	if lo < 1 {

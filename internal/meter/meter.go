@@ -154,6 +154,28 @@ func grid(a, b, period float64) (power.Grid, error) {
 	return power.NewGrid(a, b, period), nil
 }
 
+// window validates a measurement window and returns its sampling grid.
+func (m *Meter) window(tr *power.Trace, a, b float64) (power.Grid, error) {
+	if err := checkWindow(tr, a, b); err != nil {
+		return power.Grid{}, err
+	}
+	return grid(a, b, m.spec.SamplePeriod)
+}
+
+// sample reads the instrument at each point of g and then at b, in time
+// order, handing every reading to f. Measure and AveragePower share it,
+// so both consume the same noise draws in the same order.
+func (m *Meter) sample(tr *power.Trace, g power.Grid, b float64, f func(x float64, v power.Watts)) {
+	cur := tr.Cursor() // sample times only increase, so read sequentially
+	for i := 0; i < g.N; i++ {
+		x := g.At(i)
+		f(x, m.reading(cur.At(x)))
+	}
+	f(b, m.reading(cur.At(b)))
+	mMeasures.Inc()
+	mSamples.Add(int64(g.N + 1))
+}
+
 // Measure samples the true trace over [a, b] at the instrument's period
 // and returns the reported trace. The window must lie within the trace.
 //
@@ -162,34 +184,48 @@ func grid(a, b, period float64) (power.Grid, error) {
 // windows, and the final sample at b never has a near-duplicate
 // predecessor from accumulated float error.
 func (m *Meter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) {
-	if err := checkWindow(tr, a, b); err != nil {
-		return nil, err
-	}
-	g, err := grid(a, b, m.spec.SamplePeriod)
+	g, err := m.window(tr, a, b)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]power.Sample, 0, g.N+1)
-	cur := tr.Cursor() // sample times only increase, so read sequentially
-	for i := 0; i < g.N; i++ {
-		x := g.At(i)
-		out = append(out, power.Sample{Time: x, Power: m.reading(cur.At(x))})
-	}
-	out = append(out, power.Sample{Time: b, Power: m.reading(cur.At(b))})
-	mMeasures.Inc()
-	mSamples.Add(int64(len(out)))
+	m.sample(tr, g, b, func(x float64, v power.Watts) {
+		out = append(out, power.Sample{Time: x, Power: v})
+	})
 	return power.NewTrace(out)
 }
 
 // AveragePower reports the instrument's time-averaged power over [a, b]
 // as computed from its discrete samples — exactly what a Level 1/2
-// submission derives.
+// submission derives. It equals Measure(tr, a, b).Average() bit for bit
+// without building the reported trace: the trapezoids are summed in
+// sample order, as the trace's energy index would sum them, and divided
+// by b - a, the reported trace's span.
 func (m *Meter) AveragePower(tr *power.Trace, a, b float64) (power.Watts, error) {
-	measured, err := m.Measure(tr, a, b)
+	g, err := m.window(tr, a, b)
 	if err != nil {
 		return 0, err
 	}
-	return measured.Average()
+	var total, prevT, prevP float64
+	var order error
+	n := 0
+	m.sample(tr, g, b, func(x float64, v power.Watts) {
+		p := float64(v)
+		if n > 0 {
+			if x <= prevT && order == nil {
+				// Grid points closer than the time resolution collide;
+				// this is the error power.NewTrace gives Measure.
+				order = fmt.Errorf("power: non-increasing timestamp at index %d (%v after %v)", n, x, prevT)
+			}
+			total += (prevP + p) / 2 * (x - prevT)
+		}
+		prevT, prevP = x, p
+		n++
+	})
+	if order != nil {
+		return 0, order
+	}
+	return power.Watts(total / (b - a)), nil
 }
 
 // Energy reports continuously integrated energy over [a, b] through the

@@ -145,21 +145,22 @@ func (m *WindowedMeter) Gain() float64 { return m.gain }
 func (m *WindowedMeter) Phase() float64 { return m.phase }
 
 // read reports the boxcar average ending at x, clamped to the trace
-// span, through the instrument error chain.
-func (m *WindowedMeter) read(tr *power.Trace, x float64) (power.Watts, error) {
+// span, through the instrument error chain. cur is a cursor on tr; the
+// reads of one Measure come at non-decreasing x.
+func (m *WindowedMeter) read(tr *power.Trace, cur *power.Cursor, x float64) (power.Watts, error) {
 	lo := x - m.spec.Window
 	if lo < tr.Start() {
 		lo = tr.Start()
 	}
 	var v power.Watts
 	if lo < x {
-		avg, err := tr.AverageBetween(lo, x)
+		avg, err := cur.AverageBetween(lo, x)
 		if err != nil {
 			return 0, err
 		}
 		v = avg
 	} else {
-		v = tr.At(x)
+		v = cur.At(x)
 	}
 	return pipeline(float64(v), m.gain, m.spec.NoiseCV, m.spec.ResolutionWatts, m.r), nil
 }
@@ -190,10 +191,11 @@ func (m *WindowedMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, er
 		}
 	}
 	out := make([]power.Sample, 0, g.N+2)
+	cur := tr.Cursor()
 	if g.N == 0 || start > a {
 		// The grid missed the window head (or the window entirely):
 		// anchor the reported trace with a boundary read at a.
-		v, err := m.read(tr, a)
+		v, err := m.read(tr, cur, a)
 		if err != nil {
 			return nil, err
 		}
@@ -204,7 +206,7 @@ func (m *WindowedMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, er
 		if x > b {
 			break
 		}
-		v, err := m.read(tr, x)
+		v, err := m.read(tr, cur, x)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +214,7 @@ func (m *WindowedMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, er
 	}
 	if len(out) < 2 {
 		// Degenerate tiny windows: close with a boundary read at b.
-		v, err := m.read(tr, b)
+		v, err := m.read(tr, cur, b)
 		if err != nil {
 			return nil, err
 		}
@@ -311,36 +313,32 @@ type OCCMeter struct {
 // Gain returns the instrument's fixed sensor-calibration multiplier.
 func (m *OCCMeter) Gain() float64 { return m.gain }
 
-// bucket is one read-out: the reported average over [lo, hi].
-type bucket struct {
-	lo, hi float64
-	v      power.Watts
+// window validates a measurement window and returns its read-out grid:
+// bucket i spans [g.At(i), g.At(i)+BucketSeconds], and the final
+// (possibly partial) bucket always ends at b.
+func (m *OCCMeter) window(tr *power.Trace, a, b float64) (power.Grid, error) {
+	if err := checkWindow(tr, a, b); err != nil {
+		return power.Grid{}, err
+	}
+	return grid(a, b, m.spec.BucketSeconds)
 }
 
-// buckets accumulates the window into read-out buckets. Each bucket's
+// walk accumulates the window into read-out buckets, handing each
+// bucket's bounds and reported value to emit in time order. Each bucket's
 // true average (exact: the internal sampling rate is far above any
 // feature of the simulated traces) passes through gain, the bounded
 // envelope draw, and read-out quantization.
-func (m *OCCMeter) buckets(tr *power.Trace, a, b float64) ([]bucket, error) {
-	if err := checkWindow(tr, a, b); err != nil {
-		return nil, err
-	}
-	g, err := grid(a, b, m.spec.BucketSeconds)
-	if err != nil {
-		return nil, err
-	}
-	// Grid points a + i*B for i in [0, N) plus the endpoint b bound the
-	// buckets; the final (possibly partial) bucket always ends at b.
-	out := make([]bucket, 0, g.N)
+func (m *OCCMeter) walk(tr *power.Trace, g power.Grid, b float64, emit func(lo, hi float64, v power.Watts)) error {
+	cur := tr.Cursor()
 	for i := 0; i < g.N; i++ {
 		lo := g.At(i)
 		hi := lo + m.spec.BucketSeconds
 		if i == g.N-1 || hi > b {
 			hi = b
 		}
-		avg, err := tr.AverageBetween(lo, hi)
+		avg, err := cur.AverageBetween(lo, hi)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v := float64(avg) * m.gain
 		if f := m.spec.EnvelopeFrac; f > 0 {
@@ -352,9 +350,9 @@ func (m *OCCMeter) buckets(tr *power.Trace, a, b float64) ([]bucket, error) {
 		if v <= 0 {
 			v = 0
 		}
-		out = append(out, bucket{lo: lo, hi: hi, v: power.Watts(v)})
+		emit(lo, hi, power.Watts(v))
 	}
-	return out, nil
+	return nil
 }
 
 // Measure returns the read-out log: one sample per bucket end carrying
@@ -364,44 +362,53 @@ func (m *OCCMeter) buckets(tr *power.Trace, a, b float64) ([]bucket, error) {
 // of re-integrating the log — the architectural point of an
 // energy-accounting meter.
 func (m *OCCMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) {
-	bk, err := m.buckets(tr, a, b)
+	g, err := m.window(tr, a, b)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]power.Sample, 0, len(bk)+1)
-	out = append(out, power.Sample{Time: a, Power: bk[0].v})
-	for _, k := range bk {
-		out = append(out, power.Sample{Time: k.hi, Power: k.v})
+	out := make([]power.Sample, 1, g.N+1)
+	err = m.walk(tr, g, b, func(_, hi float64, v power.Watts) {
+		out = append(out, power.Sample{Time: hi, Power: v})
+	})
+	if err != nil {
+		return nil, err
 	}
+	out[0] = power.Sample{Time: a, Power: out[1].Power}
 	mMeasures.Inc()
 	mSamples.Add(int64(len(out)))
 	return power.NewTrace(out)
+}
+
+// energy is the controller's accumulated bucket energy over [a, b]: each
+// reported bucket average times its length, summed in time order.
+func (m *OCCMeter) energy(tr *power.Trace, a, b float64) (float64, error) {
+	g, err := m.window(tr, a, b)
+	if err != nil {
+		return 0, err
+	}
+	var sum float64
+	err = m.walk(tr, g, b, func(lo, hi float64, v power.Watts) {
+		sum += float64(v) * (hi - lo)
+	})
+	return sum, err
 }
 
 // AveragePower reports the bucket-length-weighted average over [a, b]:
 // the controller's own accumulation, not a post-hoc integral of the
 // read-out log.
 func (m *OCCMeter) AveragePower(tr *power.Trace, a, b float64) (power.Watts, error) {
-	bk, err := m.buckets(tr, a, b)
+	sum, err := m.energy(tr, a, b)
 	if err != nil {
 		return 0, err
-	}
-	var sum float64
-	for _, k := range bk {
-		sum += float64(k.v) * (k.hi - k.lo)
 	}
 	return power.Watts(sum / (b - a)), nil
 }
 
 // Energy reports the accumulated bucket energy over [a, b].
 func (m *OCCMeter) Energy(tr *power.Trace, a, b float64) (power.Joules, error) {
-	bk, err := m.buckets(tr, a, b)
+	sum, err := m.energy(tr, a, b)
 	if err != nil {
 		return 0, err
-	}
-	var sum float64
-	for _, k := range bk {
-		sum += float64(k.v) * (k.hi - k.lo)
 	}
 	return power.Joules(sum), nil
 }

@@ -140,6 +140,13 @@ func CompareMeters(t Target, models []NamedModel, cfg DistortionConfig) (*Distor
 		return nil, fmt.Errorf("methodology: pilot of %d nodes is too small", pilotN)
 	}
 	pilotIdx := rng.New(cfg.Seed).SampleWithoutReplacement(t.TotalNodes, pilotN)
+	// The pilot traces are built once: every model reads the same nodes,
+	// and each trace's energy index, built on its first windowed read,
+	// then serves them all.
+	pilot := make([]*power.Trace, pilotN)
+	for i, node := range pilotIdx {
+		pilot[i] = t.NodeTrace(node)
+	}
 
 	rep := &DistortionReport{
 		System:     t.Name,
@@ -151,7 +158,7 @@ func CompareMeters(t Target, models []NamedModel, cfg DistortionConfig) (*Distor
 	}
 
 	// Reference baseline: nil Model selects the periodic Reference spec.
-	ref, err := assessModel(t, "reference", nil, pilotIdx, cfg, float64(truth), nil)
+	ref, err := assessModel(t, "reference", nil, pilotIdx, pilot, cfg, float64(truth), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +171,7 @@ func CompareMeters(t Target, models []NamedModel, cfg DistortionConfig) (*Distor
 		if err := nm.Model.Validate(); err != nil {
 			return nil, fmt.Errorf("methodology: model %q: %w", nm.Name, err)
 		}
-		md, err := assessModel(t, nm.Name, nm.Model, pilotIdx, cfg, float64(truth), ref)
+		md, err := assessModel(t, nm.Name, nm.Model, pilotIdx, pilot, cfg, float64(truth), ref)
 		if err != nil {
 			return nil, fmt.Errorf("methodology: model %q: %w", nm.Name, err)
 		}
@@ -173,9 +180,10 @@ func CompareMeters(t Target, models []NamedModel, cfg DistortionConfig) (*Distor
 	return rep, nil
 }
 
-// assessModel runs the three levels and the pilot phase under one model.
-// ref is nil when assessing the reference baseline itself.
-func assessModel(t Target, name string, model meter.Model, pilotIdx []int, cfg DistortionConfig, truth float64, ref *ModelDistortion) (*ModelDistortion, error) {
+// assessModel runs the three levels and the pilot phase under one model;
+// pilot holds the true traces of the nodes pilotIdx names. ref is nil
+// when assessing the reference baseline itself.
+func assessModel(t Target, name string, model meter.Model, pilotIdx []int, pilot []*power.Trace, cfg DistortionConfig, truth float64, ref *ModelDistortion) (*ModelDistortion, error) {
 	md := &ModelDistortion{Name: name, Architecture: "periodic"}
 	if model != nil {
 		md.Architecture = model.ModelName()
@@ -223,7 +231,7 @@ func assessModel(t Target, name string, model meter.Model, pilotIdx []int, cfg D
 		if err != nil {
 			return nil, err
 		}
-		avg, err := inst.AveragePower(t.NodeTrace(node), lo, hi)
+		avg, err := inst.AveragePower(pilot[i], lo, hi)
 		if err != nil {
 			return nil, fmt.Errorf("pilot node %d: %w", node, err)
 		}

@@ -74,6 +74,13 @@ func (t *Trace) energyTo(e *energyIndex, x float64) float64 {
 	s := t.samples
 	// i is the last sample with Time <= x.
 	i := sort.Search(len(s), func(k int) bool { return s[k].Time > x }) - 1
+	return t.energyAt(e, x, i)
+}
+
+// energyAt is energyTo with i, the last sample with Time <= x (-1 when x
+// precedes the trace), already located.
+func (t *Trace) energyAt(e *energyIndex, x float64, i int) float64 {
+	s := t.samples
 	if i < 0 {
 		return 0
 	}
@@ -85,6 +92,23 @@ func (t *Trace) energyTo(e *energyIndex, x float64) float64 {
 		total += (float64(a.Power) + px) / 2 * (x - a.Time)
 	}
 	return total
+}
+
+// locate returns the last sample with Time <= x (-1 when x precedes the
+// trace), walking from hint: forward while the next sample is not past
+// x, back while the current one is. It lands on the index sort.Search
+// finds from any hint in [-1, Len), in steps proportional to the
+// distance from it.
+func (t *Trace) locate(x float64, hint int) int {
+	s := t.samples
+	i := hint
+	for i+1 < len(s) && s[i+1].Time <= x {
+		i++
+	}
+	for i >= 0 && s[i].Time > x {
+		i--
+	}
+	return i
 }
 
 // ErrShortTrace is returned by operations that need at least two samples.
@@ -158,15 +182,20 @@ func (t *Trace) At(x float64) Watts {
 	return a.Power + Watts(frac)*(b.Power-a.Power)
 }
 
-// Cursor reads a trace at non-decreasing query times in amortized O(1)
-// per read, replacing At's binary search with a forward walk. Queries
-// must not decrease between calls; results are identical to At.
+// Cursor reads a trace sequentially, replacing the binary search of
+// Trace.At and Trace.AverageBetween with a walk from the previous read:
+// point reads at non-decreasing times, and windows whose bounds move a
+// few samples between calls (a meter's read grid), cost amortized O(1)
+// each. Results are identical to the Trace methods.
 type Cursor struct {
 	t *Trace
-	// i is the index of the first sample with Time >= the previous query
-	// (the interpolation upper bound).
+	// i is the index of the first sample with Time >= the previous At
+	// query (the interpolation upper bound).
 	i int
-	// reads counts At calls locally; every cursorReadFlush reads are
+	// lo and hi are the AverageBetween bound hints: the last sample with
+	// Time <= the previous window's lower and upper bound.
+	lo, hi int
+	// reads counts reads locally; every cursorReadFlush reads are
 	// flushed to the shared counter in one atomic add.
 	reads int
 }
@@ -180,14 +209,19 @@ func (t *Trace) Cursor() *Cursor {
 	return &Cursor{t: t}
 }
 
-// At returns the linearly interpolated power at time x, which must be
-// >= the previous query's time. Outside the trace span it clamps like
-// Trace.At.
-func (c *Cursor) At(x float64) Watts {
+// count records one fast-path read.
+func (c *Cursor) count() {
 	c.reads++
 	if c.reads&(cursorReadFlush-1) == 0 {
 		mCursorReads.Add(cursorReadFlush)
 	}
+}
+
+// At returns the linearly interpolated power at time x, which must be
+// >= the previous At query's time. Outside the trace span it clamps like
+// Trace.At.
+func (c *Cursor) At(x float64) Watts {
+	c.count()
 	s := c.t.samples
 	n := len(s)
 	if x <= s[0].Time {
@@ -204,6 +238,28 @@ func (c *Cursor) At(x float64) Watts {
 	return a.Power + Watts(frac)*(b.Power-a.Power)
 }
 
+// AverageBetween returns Trace.AverageBetween(a, b) bit for bit, with
+// the same errors, locating each bound by walking from where the
+// previous window's bound landed. Windows may come in any order — a
+// bound may even step back, as a bucket end computed as lo + B can sit
+// an ulp past the next bucket's start — only the cost depends on it.
+func (c *Cursor) AverageBetween(a, b float64) (Watts, error) {
+	t := c.t
+	if a == b {
+		return t.At(a), nil
+	}
+	a, b, err := t.window(a, b)
+	if err != nil {
+		return 0, err
+	}
+	c.count()
+	e := t.index()
+	c.lo = t.locate(a, c.lo)
+	c.hi = t.locate(b, c.hi)
+	energy := Joules(t.energyAt(e, b, c.hi) - t.energyAt(e, a, c.lo))
+	return Watts(float64(energy) / (b - a)), nil
+}
+
 // Energy returns the trapezoidal integral of power over the full trace.
 func (t *Trace) Energy() (Joules, error) {
 	return t.EnergyBetween(t.Start(), t.End())
@@ -213,15 +269,9 @@ func (t *Trace) Energy() (Joules, error) {
 // interpolating at the endpoints. It returns an error if the trace has
 // fewer than 2 samples or the window is empty or outside the trace.
 func (t *Trace) EnergyBetween(a, b float64) (Joules, error) {
-	if len(t.samples) < 2 {
-		return 0, ErrShortTrace
-	}
-	if a > b {
-		a, b = b, a
-	}
-	if a < t.Start()-1e-9 || b > t.End()+1e-9 {
-		return 0, fmt.Errorf("power: window [%v, %v] outside trace span [%v, %v]",
-			a, b, t.Start(), t.End())
+	a, b, err := t.window(a, b)
+	if err != nil {
+		return 0, err
 	}
 	if a == b {
 		return 0, nil
@@ -230,34 +280,20 @@ func (t *Trace) EnergyBetween(a, b float64) (Joules, error) {
 	return Joules(t.energyTo(e, b) - t.energyTo(e, a)), nil
 }
 
-// energyBetweenNaive is the original O(window) trapezoid scan. It is the
-// reference implementation the prefix-sum index is validated against and
-// is kept for traces queried exactly once, where building the index would
-// not pay for itself.
-func (t *Trace) energyBetweenNaive(a, b float64) (Joules, error) {
+// window validates an integration window and returns it in order: the
+// trace needs two samples, and [a, b] must lie within its span (to 1e-9).
+func (t *Trace) window(a, b float64) (float64, float64, error) {
 	if len(t.samples) < 2 {
-		return 0, ErrShortTrace
+		return 0, 0, ErrShortTrace
 	}
 	if a > b {
 		a, b = b, a
 	}
 	if a < t.Start()-1e-9 || b > t.End()+1e-9 {
-		return 0, fmt.Errorf("power: window [%v, %v] outside trace span [%v, %v]",
+		return 0, 0, fmt.Errorf("power: window [%v, %v] outside trace span [%v, %v]",
 			a, b, t.Start(), t.End())
 	}
-	if a == b {
-		return 0, nil
-	}
-	var total float64
-	prevT, prevP := a, float64(t.At(a))
-	i := sort.Search(len(t.samples), func(i int) bool { return t.samples[i].Time > a })
-	for ; i < len(t.samples) && t.samples[i].Time < b; i++ {
-		s := t.samples[i]
-		total += (float64(s.Power) + prevP) / 2 * (s.Time - prevT)
-		prevT, prevP = s.Time, float64(s.Power)
-	}
-	total += (float64(t.At(b)) + prevP) / 2 * (b - prevT)
-	return Joules(total), nil
+	return a, b, nil
 }
 
 // AverageBetween returns the time-weighted average power over [a, b].
