@@ -154,12 +154,13 @@ func grid(a, b, period float64) (power.Grid, error) {
 	return power.NewGrid(a, b, period), nil
 }
 
-// window validates a measurement window and returns its sampling grid.
-func (m *Meter) window(tr *power.Trace, a, b float64) (power.Grid, error) {
+// window validates a measurement window against the trace span and
+// returns its grid at period.
+func window(tr *power.Trace, a, b, period float64) (power.Grid, error) {
 	if err := checkWindow(tr, a, b); err != nil {
 		return power.Grid{}, err
 	}
-	return grid(a, b, m.spec.SamplePeriod)
+	return grid(a, b, period)
 }
 
 // sample reads the instrument at each point of g and then at b, in time
@@ -184,7 +185,7 @@ func (m *Meter) sample(tr *power.Trace, g power.Grid, b float64, f func(x float6
 // windows, and the final sample at b never has a near-duplicate
 // predecessor from accumulated float error.
 func (m *Meter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) {
-	g, err := m.window(tr, a, b)
+	g, err := window(tr, a, b, m.spec.SamplePeriod)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +203,7 @@ func (m *Meter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) {
 // sample order, as the trace's energy index would sum them, and divided
 // by b - a, the reported trace's span.
 func (m *Meter) AveragePower(tr *power.Trace, a, b float64) (power.Watts, error) {
-	g, err := m.window(tr, a, b)
+	g, err := window(tr, a, b, m.spec.SamplePeriod)
 	if err != nil {
 		return 0, err
 	}

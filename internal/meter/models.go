@@ -313,21 +313,13 @@ type OCCMeter struct {
 // Gain returns the instrument's fixed sensor-calibration multiplier.
 func (m *OCCMeter) Gain() float64 { return m.gain }
 
-// window validates a measurement window and returns its read-out grid:
-// bucket i spans [g.At(i), g.At(i)+BucketSeconds], and the final
-// (possibly partial) bucket always ends at b.
-func (m *OCCMeter) window(tr *power.Trace, a, b float64) (power.Grid, error) {
-	if err := checkWindow(tr, a, b); err != nil {
-		return power.Grid{}, err
-	}
-	return grid(a, b, m.spec.BucketSeconds)
-}
-
-// walk accumulates the window into read-out buckets, handing each
-// bucket's bounds and reported value to emit in time order. Each bucket's
-// true average (exact: the internal sampling rate is far above any
-// feature of the simulated traces) passes through gain, the bounded
-// envelope draw, and read-out quantization.
+// walk accumulates the window ending at b into the read-out buckets of
+// g, handing each bucket's bounds and reported value to emit in time
+// order: bucket i spans [g.At(i), g.At(i)+BucketSeconds], and the final
+// (possibly partial) bucket always ends at b. Each bucket's true average
+// (exact: the internal sampling rate is far above any feature of the
+// simulated traces) passes through gain, the bounded envelope draw, and
+// read-out quantization.
 func (m *OCCMeter) walk(tr *power.Trace, g power.Grid, b float64, emit func(lo, hi float64, v power.Watts)) error {
 	cur := tr.Cursor()
 	for i := 0; i < g.N; i++ {
@@ -362,7 +354,7 @@ func (m *OCCMeter) walk(tr *power.Trace, g power.Grid, b float64, emit func(lo, 
 // of re-integrating the log — the architectural point of an
 // energy-accounting meter.
 func (m *OCCMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) {
-	g, err := m.window(tr, a, b)
+	g, err := window(tr, a, b, m.spec.BucketSeconds)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +374,7 @@ func (m *OCCMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) 
 // energy is the controller's accumulated bucket energy over [a, b]: each
 // reported bucket average times its length, summed in time order.
 func (m *OCCMeter) energy(tr *power.Trace, a, b float64) (float64, error) {
-	g, err := m.window(tr, a, b)
+	g, err := window(tr, a, b, m.spec.BucketSeconds)
 	if err != nil {
 		return 0, err
 	}
