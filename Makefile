@@ -126,7 +126,7 @@ bench-compare:
 # "X" events with sane timestamps).
 trace:
 	$(GO) run ./cmd/repro -exp table1 -trace-out $(TRACE_OUT) -manifest none
-	NODEVAR_TRACE_FILE=$(abspath $(TRACE_OUT)) $(GO) test ./internal/obs -run TestValidateTraceFile -count=1
+	NODEVAR_TRACE_FILE=$(abspath $(TRACE_OUT)) $(GO) test ./internal/obs/obstest -run TestValidateTraceFile -count=1
 
 repro:
 	$(GO) run ./cmd/repro -exp all

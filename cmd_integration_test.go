@@ -21,6 +21,7 @@ import (
 
 	"nodevar/internal/checkpoint"
 	"nodevar/internal/obs"
+	"nodevar/internal/obs/obstest"
 	"nodevar/internal/rng"
 	"nodevar/internal/sampling"
 )
@@ -290,7 +291,7 @@ func TestReproInterrupt(t *testing.T) {
 		t.Fatalf("no manifest after interrupt: %v", err)
 	}
 	defer f.Close()
-	m, err := obs.ReadManifest(f)
+	m, err := obstest.ReadManifest(f)
 	if err != nil {
 		t.Fatalf("interrupted manifest unreadable: %v", err)
 	}

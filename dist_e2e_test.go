@@ -27,7 +27,7 @@ import (
 	"testing"
 	"time"
 
-	"nodevar/internal/obs"
+	"nodevar/internal/obs/obstest"
 )
 
 // lockedBuf is a Writer safe to read while the subprocess is still
@@ -116,7 +116,7 @@ func promValue(t *testing.T, url, family string) float64 {
 		t.Fatalf("scrape %s: %v", url, err)
 	}
 	defer resp.Body.Close()
-	fams, err := obs.ParsePrometheus(resp.Body)
+	fams, err := obstest.ParsePrometheus(resp.Body)
 	if err != nil {
 		t.Fatalf("parse %s/metrics: %v", url, err)
 	}

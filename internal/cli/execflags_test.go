@@ -14,6 +14,7 @@ import (
 
 	"nodevar/internal/checkpoint"
 	"nodevar/internal/obs"
+	"nodevar/internal/obs/obstest"
 	"nodevar/internal/sampling"
 )
 
@@ -149,7 +150,7 @@ func TestCloseWritesInterruptedManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	m, err := obs.ReadManifest(f)
+	m, err := obstest.ReadManifest(f)
 	if err != nil {
 		t.Fatalf("interrupted manifest unreadable: %v", err)
 	}

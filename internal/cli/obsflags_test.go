@@ -3,11 +3,15 @@ package cli
 import (
 	"encoding/json"
 	"flag"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"nodevar/internal/obs"
+	"nodevar/internal/obs/obstest"
 )
 
 func parseObs(t *testing.T, args ...string) *ObsFlags {
@@ -58,6 +62,46 @@ func TestStartRejectsBadLogFormat(t *testing.T) {
 	}
 }
 
+// TestPprofServesDebugSurface starts the -pprof server and checks it
+// serves obs.DebugHandler: pprof profiles and Prometheus /metrics, and
+// no expvar.
+func TestPprofServesDebugSurface(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	if _, err := parseObs(t, "-pprof", addr).Start("clitest"); err != nil {
+		t.Fatal(err)
+	}
+	status := func(path string) (int, error) {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			return 0, err
+		}
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	// The server starts in the background; wait for it to answer.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if _, err := status("/metrics"); err == nil {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("-pprof server never answered: %v", err)
+		}
+	}
+	for path, want := range map[string]int{
+		"/debug/pprof/": http.StatusOK,
+		"/metrics":      http.StatusOK,
+		"/debug/vars":   http.StatusNotFound,
+	} {
+		if got, err := status(path); err != nil || got != want {
+			t.Errorf("GET %s: status %d (%v), want %d", path, got, err, want)
+		}
+	}
+}
+
 // TestRunFinishWritesArtifacts drives the full flag-to-file path: Start
 // installs a tracer, spans and metrics accumulate, Finish writes a
 // valid metrics snapshot, Chrome trace, and run manifest.
@@ -101,7 +145,7 @@ func TestRunFinishWritesArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := obs.ValidateChromeTrace(f); err != nil {
+	if err := obstest.ValidateChromeTrace(f); err != nil {
 		t.Errorf("emitted trace invalid: %v", err)
 	}
 

@@ -14,9 +14,9 @@ import (
 const maxReadAllocs = 0
 
 // TestReadsAllocateConstant is the allocation gate on the pilot-phase
-// reads: periodic AveragePower and OCC AveragePower and Energy must
-// allocate at most maxReadAllocs times per call, and exactly as often
-// over an 1800 s window as over a 60 s one.
+// reads: periodic and windowed AveragePower and OCC AveragePower and
+// Energy must allocate at most maxReadAllocs times per call, and
+// exactly as often over an 1800 s window as over a 60 s one.
 func TestReadsAllocateConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc gates are meaningless under the race detector")
@@ -31,11 +31,16 @@ func TestReadsAllocateConstant(t *testing.T) {
 		t.Fatal(err)
 	}
 	occ := occInst.(*OCCMeter)
+	windowed, err := WindowedSpec{Period: 1, Window: 0.5, PhaseJitter: true, GainErrorCV: 0.01, NoiseCV: 0.002, ResolutionWatts: 1}.NewInstrument(rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	reads := []struct {
 		name string
 		read func(a, b float64) error
 	}{
 		{"periodic AveragePower", func(a, b float64) error { _, err := periodic.AveragePower(tr, a, b); return err }},
+		{"windowed AveragePower", func(a, b float64) error { _, err := windowed.AveragePower(tr, a, b); return err }},
 		{"occ AveragePower", func(a, b float64) error { _, err := occ.AveragePower(tr, a, b); return err }},
 		{"occ Energy", func(a, b float64) error { _, err := occ.Energy(tr, a, b); return err }},
 	}

@@ -199,34 +199,53 @@ func (m *Meter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) {
 // AveragePower reports the instrument's time-averaged power over [a, b]
 // as computed from its discrete samples — exactly what a Level 1/2
 // submission derives. It equals Measure(tr, a, b).Average() bit for bit
-// without building the reported trace: the trapezoids are summed in
-// sample order, as the trace's energy index would sum them, and divided
-// by b - a, the reported trace's span.
+// without building the reported trace.
 func (m *Meter) AveragePower(tr *power.Trace, a, b float64) (power.Watts, error) {
 	g, err := window(tr, a, b, m.spec.SamplePeriod)
 	if err != nil {
 		return 0, err
 	}
-	var total, prevT, prevP float64
-	var order error
-	n := 0
-	m.sample(tr, g, b, func(x float64, v power.Watts) {
-		p := float64(v)
-		if n > 0 {
-			if x <= prevT && order == nil {
-				// Grid points closer than the time resolution collide;
-				// this is the error power.NewTrace gives Measure.
-				order = fmt.Errorf("power: non-increasing timestamp at index %d (%v after %v)", n, x, prevT)
-			}
-			total += (prevP + p) / 2 * (x - prevT)
+	var sum trapezoids
+	m.sample(tr, g, b, sum.add)
+	return sum.average()
+}
+
+// trapezoids sums a stream of readings, in time order, into the
+// time-weighted average of the trace they would form: the trapezoids
+// are added in sample order, as the trace's energy index adds them, and
+// divided by the span from the first reading to the last, so average
+// equals power.NewTrace(readings).Average() bit for bit, with the same
+// errors.
+type trapezoids struct {
+	total, first, prevT, prevP float64
+	n                          int
+	err                        error
+}
+
+// add takes the next reading.
+func (s *trapezoids) add(x float64, v power.Watts) {
+	p := float64(v)
+	if s.n == 0 {
+		s.first = x
+	} else {
+		if x <= s.prevT && s.err == nil {
+			// Readings closer than the time resolution collide; this is
+			// the error power.NewTrace gives the reported trace.
+			s.err = fmt.Errorf("power: non-increasing timestamp at index %d (%v after %v)", s.n, x, s.prevT)
 		}
-		prevT, prevP = x, p
-		n++
-	})
-	if order != nil {
-		return 0, order
+		s.total += (s.prevP + p) / 2 * (x - s.prevT)
 	}
-	return power.Watts(total / (b - a)), nil
+	s.prevT, s.prevP = x, p
+	s.n++
+}
+
+// average returns the readings' time-weighted average. Both meters
+// hand it at least two readings.
+func (s *trapezoids) average() (power.Watts, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
+	return power.Watts(s.total / (s.prevT - s.first)), nil
 }
 
 // Energy reports continuously integrated energy over [a, b] through the

@@ -165,6 +165,74 @@ func (m *WindowedMeter) read(tr *power.Trace, cur *power.Cursor, x float64) (pow
 	return pipeline(float64(v), m.gain, m.spec.NoiseCV, m.spec.ResolutionWatts, m.r), nil
 }
 
+// window validates [a, b] and returns the instrument's read grid over
+// it: a + phase + i*Period, extended by a read landing within epsilon
+// of b, and empty when the phase pushes the first read past b.
+func (m *WindowedMeter) window(tr *power.Trace, a, b float64) (power.Grid, error) {
+	if err := checkWindow(tr, a, b); err != nil {
+		return power.Grid{}, err
+	}
+	start := a + m.phase
+	if start > b {
+		return power.Grid{}, nil
+	}
+	g, err := grid(start, b, m.spec.Period)
+	if err != nil {
+		return power.Grid{}, err
+	}
+	// The grid covers [start, b); a final read exactly at b is
+	// legitimate here (there is no separate endpoint sample), so extend
+	// the grid when it lands within epsilon of b.
+	if g.At(g.N) <= b+m.spec.Period*1e-9 {
+		g.N++
+	}
+	return g, nil
+}
+
+// walk reads the instrument over [a, b] in time order and hands every
+// reading to f: a boundary read at a when the grid g misses the window
+// head, the grid reads up to b, and a closing read at b when fewer than
+// two reads landed. Measure and AveragePower share it, so both consume
+// the same noise draws in the same order.
+func (m *WindowedMeter) walk(tr *power.Trace, g power.Grid, a, b float64, f func(x float64, v power.Watts)) error {
+	cur := tr.Cursor()
+	n := 0
+	emit := func(x float64) error {
+		v, err := m.read(tr, cur, x)
+		if err != nil {
+			return err
+		}
+		f(x, v)
+		n++
+		return nil
+	}
+	if g.N == 0 || a+m.phase > a {
+		// The grid missed the window head (or the window entirely):
+		// anchor the reported trace with a boundary read at a.
+		if err := emit(a); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < g.N; i++ {
+		x := g.At(i)
+		if x > b {
+			break
+		}
+		if err := emit(x); err != nil {
+			return err
+		}
+	}
+	if n < 2 {
+		// Degenerate tiny windows: close with a boundary read at b.
+		if err := emit(b); err != nil {
+			return err
+		}
+	}
+	mMeasures.Inc()
+	mSamples.Add(int64(n))
+	return nil
+}
+
 // Measure samples the true trace over [a, b] at the instrument's read
 // grid a + phase + i*Period and returns the reported trace: exactly
 // what a log of periodic nvidia-smi polls contains. Each reported
@@ -173,55 +241,16 @@ func (m *WindowedMeter) read(tr *power.Trace, cur *power.Cursor, x float64) (pow
 // two grid reads land inside the window, boundary reads at a and b
 // stand in so the reported trace is still well-formed.
 func (m *WindowedMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, error) {
-	if err := checkWindow(tr, a, b); err != nil {
+	g, err := m.window(tr, a, b)
+	if err != nil {
 		return nil, err
 	}
-	start := a + m.phase
-	var g power.Grid
-	if start <= b {
-		var err error
-		if g, err = grid(start, b, m.spec.Period); err != nil {
-			return nil, err
-		}
-		// The grid covers [start, b); a final read exactly at b is
-		// legitimate here (there is no separate endpoint sample), so
-		// extend the grid when it lands within epsilon of b.
-		if g.At(g.N) <= b+m.spec.Period*1e-9 {
-			g.N++
-		}
-	}
 	out := make([]power.Sample, 0, g.N+2)
-	cur := tr.Cursor()
-	if g.N == 0 || start > a {
-		// The grid missed the window head (or the window entirely):
-		// anchor the reported trace with a boundary read at a.
-		v, err := m.read(tr, cur, a)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, power.Sample{Time: a, Power: v})
-	}
-	for i := 0; i < g.N; i++ {
-		x := g.At(i)
-		if x > b {
-			break
-		}
-		v, err := m.read(tr, cur, x)
-		if err != nil {
-			return nil, err
-		}
+	if err := m.walk(tr, g, a, b, func(x float64, v power.Watts) {
 		out = append(out, power.Sample{Time: x, Power: v})
+	}); err != nil {
+		return nil, err
 	}
-	if len(out) < 2 {
-		// Degenerate tiny windows: close with a boundary read at b.
-		v, err := m.read(tr, cur, b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, power.Sample{Time: b, Power: v})
-	}
-	mMeasures.Inc()
-	mSamples.Add(int64(len(out)))
 	return power.NewTrace(out)
 }
 
@@ -229,13 +258,18 @@ func (m *WindowedMeter) Measure(tr *power.Trace, a, b float64) (*power.Trace, er
 // samples over [a, b] — what a site derives from its nvidia-smi log.
 // Unlike the periodic sampler there is no sample pinned to either
 // boundary, so the unobserved head and tail of the window simply do
-// not contribute.
+// not contribute. It equals Measure(tr, a, b).Average() bit for bit
+// without building the reported trace.
 func (m *WindowedMeter) AveragePower(tr *power.Trace, a, b float64) (power.Watts, error) {
-	measured, err := m.Measure(tr, a, b)
+	g, err := m.window(tr, a, b)
 	if err != nil {
 		return 0, err
 	}
-	return measured.Average()
+	var sum trapezoids
+	if err := m.walk(tr, g, a, b, sum.add); err != nil {
+		return 0, err
+	}
+	return sum.average()
 }
 
 // Energy integrates the reported samples over the window: nvidia-smi

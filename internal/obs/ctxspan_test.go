@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -187,24 +186,5 @@ func TestTraceStoreFIFOEviction(t *testing.T) {
 		if _, ok := s.Get(b.ID()); !ok {
 			t.Fatalf("trace %s missing", b.ID())
 		}
-	}
-}
-
-func TestTraceBufferChromeTraceValidates(t *testing.T) {
-	buf := newTraceBuffer(NewTraceID(), 16)
-	root := buf.Root("request", "coverage", SpanID{})
-	root.Event("cache_miss")
-	child, _ := StartSpanCtx(ContextWithSpan(context.Background(), root), "chunk", "c0")
-	child.End()
-	root.End()
-	var out bytes.Buffer
-	if err := buf.WriteChromeTrace(&out); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateChromeTrace(bytes.NewReader(out.Bytes())); err != nil {
-		t.Fatalf("chrome trace with instants fails validation: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), `"ph": "i"`) {
-		t.Error("instant event not rendered as ph:i")
 	}
 }

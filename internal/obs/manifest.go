@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os/exec"
 	"runtime"
@@ -16,13 +15,8 @@ import (
 // changes. v3 added the run status plus the optional "exec" (timeout,
 // checkpoint, signal) and "watchdog" (per-phase deadline overruns)
 // sections; v2 added the optional "faults" section describing injected
-// faults and the resulting data completeness. Both earlier schemas are
-// still readable via ReadManifest.
-const (
-	ManifestSchema   = "nodevar/run-manifest/v3"
-	ManifestSchemaV2 = "nodevar/run-manifest/v2"
-	ManifestSchemaV1 = "nodevar/run-manifest/v1"
-)
+// faults and the resulting data completeness.
+const ManifestSchema = "nodevar/run-manifest/v3"
 
 // Run statuses recorded in a v3 manifest. A manifest is written on
 // every exit path — the status says which one the run took.
@@ -120,44 +114,6 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
-}
-
-// ReadManifest parses a manifest written by this or an earlier version
-// of the tool. It accepts the current v3 schema, the v2 schema (no
-// status/exec/watchdog) and the v1 schema (additionally no faults
-// section); any other schema string — or an older schema carrying
-// newer-schema sections — is an error.
-func ReadManifest(r io.Reader) (*Manifest, error) {
-	var m Manifest
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("obs: parsing manifest: %w", err)
-	}
-	switch m.Schema {
-	case ManifestSchema:
-		if m.Status != "" {
-			switch m.Status {
-			case StatusOK, StatusInterrupted, StatusTimeout, StatusFailed:
-			default:
-				return nil, fmt.Errorf("obs: unknown manifest status %q", m.Status)
-			}
-		}
-	case ManifestSchemaV2:
-		if m.Status != "" || m.Exec != nil || m.Watchdog != nil {
-			return nil, fmt.Errorf("obs: %s manifest carries v3 sections", ManifestSchemaV2)
-		}
-	case ManifestSchemaV1:
-		if m.Status != "" || m.Exec != nil || m.Watchdog != nil {
-			return nil, fmt.Errorf("obs: %s manifest carries v3 sections", ManifestSchemaV1)
-		}
-		if m.Faults != nil {
-			return nil, fmt.Errorf("obs: %s manifest carries a v2 faults section", ManifestSchemaV1)
-		}
-	default:
-		return nil, fmt.Errorf("obs: unsupported manifest schema %q (want %s, %s or %s)",
-			m.Schema, ManifestSchema, ManifestSchemaV2, ManifestSchemaV1)
-	}
-	return &m, nil
 }
 
 var (

@@ -1,4 +1,4 @@
-package obs
+package obs_test
 
 import (
 	"bytes"
@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nodevar/internal/obs"
+	"nodevar/internal/obs/obstest"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -15,11 +18,11 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // degradedManifest builds the fixed manifest the v2 golden file pins:
 // every field deterministic, with a faults section describing a
 // degraded run.
-func degradedManifest() *Manifest {
+func degradedManifest() *obs.Manifest {
 	start := time.Date(2026, 2, 3, 10, 0, 0, 0, time.UTC)
 	end := start.Add(90 * time.Second)
-	return &Manifest{
-		Schema:      ManifestSchemaV2,
+	return &obs.Manifest{
+		Schema:      obstest.ManifestSchemaV2,
 		Command:     "powersim",
 		Args:        []string{"-nodes", "128", "-faults", "seed=7,drop=0.01,meterdrop=0.05"},
 		Version:     "test-fixed",
@@ -31,16 +34,16 @@ func degradedManifest() *Manifest {
 			"nodes": 128,
 			"seed":  42,
 		},
-		Phases: []PhaseTiming{
+		Phases: []obs.PhaseTiming{
 			{Cat: "sim", Name: "run", Count: 1, TotalMS: 80000, MaxMS: 80000},
 		},
-		Metrics: Snapshot{
+		Metrics: obs.Snapshot{
 			Counters:      map[string]int64{"faults.samples_dropped": 37},
 			Gauges:        map[string]float64{},
 			FloatCounters: map[string]float64{},
-			Histograms:    map[string]HistogramSnapshot{},
+			Histograms:    map[string]obs.HistogramSnapshot{},
 		},
-		Faults: &FaultsSection{
+		Faults: &obs.FaultsSection{
 			Seed:           7,
 			Schedule:       "seed=7 drop=0.01 meterdrop=0.05",
 			Completeness:   0.9417,
@@ -56,9 +59,9 @@ func degradedManifest() *Manifest {
 
 // v1Manifest is the same run without fault injection, as the previous
 // schema wrote it.
-func v1Manifest() *Manifest {
+func v1Manifest() *obs.Manifest {
 	m := degradedManifest()
-	m.Schema = ManifestSchemaV1
+	m.Schema = obstest.ManifestSchemaV1
 	m.Args = []string{"-nodes", "128"}
 	m.Faults = nil
 	m.Metrics.Counters = map[string]int64{}
@@ -68,22 +71,22 @@ func v1Manifest() *Manifest {
 // interruptedManifest builds the fixed manifest the v3 golden file
 // pins: a run ended by SIGINT with a checkpoint in play and a phase
 // over its deadline.
-func interruptedManifest() *Manifest {
+func interruptedManifest() *obs.Manifest {
 	m := degradedManifest()
-	m.Schema = ManifestSchema
+	m.Schema = obs.ManifestSchema
 	m.Command = "repro"
 	m.Args = []string{"-exp", "figure3", "-checkpoint", "fig3.ckpt", "-timeout", "10m"}
 	m.Faults = nil
-	m.Status = StatusInterrupted
-	m.Exec = &ExecSection{
+	m.Status = obs.StatusInterrupted
+	m.Exec = &obs.ExecSection{
 		TimeoutSec: 600,
 		Checkpoint: "fig3.ckpt",
 		Resumed:    true,
 		Signal:     "interrupt",
 	}
-	m.Watchdog = &WatchdogSection{
+	m.Watchdog = &obs.WatchdogSection{
 		PhaseDeadlineSec: 60,
-		Overruns: []PhaseOverrun{
+		Overruns: []obs.PhaseOverrun{
 			{Cat: "sim", Name: "run", MaxMS: 80000, DeadlineMS: 60000},
 		},
 	}
@@ -94,7 +97,7 @@ func goldenPath(name string) string {
 	return filepath.Join("testdata", name)
 }
 
-func checkGolden(t *testing.T, name string, m *Manifest) []byte {
+func checkGolden(t *testing.T, name string, m *obs.Manifest) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
@@ -120,11 +123,11 @@ func checkGolden(t *testing.T, name string, m *Manifest) []byte {
 func TestManifestV3Golden(t *testing.T) {
 	data := checkGolden(t, "run-manifest-v3.golden.json", interruptedManifest())
 
-	m, err := ReadManifest(bytes.NewReader(data))
+	m, err := obstest.ReadManifest(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Schema != ManifestSchema || m.Status != StatusInterrupted {
+	if m.Schema != obs.ManifestSchema || m.Status != obs.StatusInterrupted {
 		t.Errorf("schema %q status %q", m.Schema, m.Status)
 	}
 	if m.Exec == nil || m.Exec.Signal != "interrupt" || m.Exec.Checkpoint != "fig3.ckpt" ||
@@ -140,11 +143,11 @@ func TestManifestV3Golden(t *testing.T) {
 func TestManifestV2BackCompat(t *testing.T) {
 	data := checkGolden(t, "run-manifest-v2.golden.json", degradedManifest())
 
-	m, err := ReadManifest(bytes.NewReader(data))
+	m, err := obstest.ReadManifest(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("v2 manifest no longer readable: %v", err)
 	}
-	if m.Schema != ManifestSchemaV2 {
+	if m.Schema != obstest.ManifestSchemaV2 {
 		t.Errorf("schema %q", m.Schema)
 	}
 	if m.Status != "" || m.Exec != nil || m.Watchdog != nil {
@@ -166,11 +169,11 @@ func TestManifestV2BackCompat(t *testing.T) {
 func TestManifestV1BackCompat(t *testing.T) {
 	data := checkGolden(t, "run-manifest-v1.golden.json", v1Manifest())
 
-	m, err := ReadManifest(bytes.NewReader(data))
+	m, err := obstest.ReadManifest(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("v1 manifest no longer readable: %v", err)
 	}
-	if m.Schema != ManifestSchemaV1 {
+	if m.Schema != obstest.ManifestSchemaV1 {
 		t.Errorf("schema %q", m.Schema)
 	}
 	if m.Faults != nil {
@@ -182,26 +185,26 @@ func TestManifestV1BackCompat(t *testing.T) {
 }
 
 func TestReadManifestRejects(t *testing.T) {
-	if _, err := ReadManifest(strings.NewReader(`{"schema":"nodevar/run-manifest/v99"}`)); err == nil {
+	if _, err := obstest.ReadManifest(strings.NewReader(`{"schema":"nodevar/run-manifest/v99"}`)); err == nil {
 		t.Error("unknown schema accepted")
 	}
-	if _, err := ReadManifest(strings.NewReader(`{not json`)); err == nil {
+	if _, err := obstest.ReadManifest(strings.NewReader(`{not json`)); err == nil {
 		t.Error("malformed JSON accepted")
 	}
 	v1WithFaults := `{"schema":"nodevar/run-manifest/v1","faults":{"seed":1}}`
-	if _, err := ReadManifest(strings.NewReader(v1WithFaults)); err == nil {
+	if _, err := obstest.ReadManifest(strings.NewReader(v1WithFaults)); err == nil {
 		t.Error("v1 manifest with a v2 faults section accepted")
 	}
 	v2WithStatus := `{"schema":"nodevar/run-manifest/v2","status":"ok"}`
-	if _, err := ReadManifest(strings.NewReader(v2WithStatus)); err == nil {
+	if _, err := obstest.ReadManifest(strings.NewReader(v2WithStatus)); err == nil {
 		t.Error("v2 manifest with a v3 status accepted")
 	}
 	v2WithExec := `{"schema":"nodevar/run-manifest/v2","exec":{"signal":"interrupt"}}`
-	if _, err := ReadManifest(strings.NewReader(v2WithExec)); err == nil {
+	if _, err := obstest.ReadManifest(strings.NewReader(v2WithExec)); err == nil {
 		t.Error("v2 manifest with a v3 exec section accepted")
 	}
 	v3BadStatus := `{"schema":"nodevar/run-manifest/v3","status":"exploded"}`
-	if _, err := ReadManifest(strings.NewReader(v3BadStatus)); err == nil {
+	if _, err := obstest.ReadManifest(strings.NewReader(v3BadStatus)); err == nil {
 		t.Error("v3 manifest with an unknown status accepted")
 	}
 }

@@ -157,24 +157,6 @@ func TestSnapshotDeterminism(t *testing.T) {
 	}
 }
 
-func TestNamesSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("zz")
-	r.Gauge("aa")
-	r.Histogram("mm", []float64{1})
-	r.FloatCounter("bb")
-	names := r.Names()
-	want := []string{"aa", "bb", "mm", "zz"}
-	if len(names) != len(want) {
-		t.Fatalf("Names() = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", names, want)
-		}
-	}
-}
-
 func TestSnapshotWriteJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Inc()

@@ -1,10 +1,14 @@
 // Package obs is the observability layer of the simulator: a lock-cheap
 // metrics registry (atomic counters, gauges and fixed-bucket histograms
-// with deterministic snapshots and expvar export), a phase tracer whose
-// spans land in an in-memory ring buffer and can be streamed as
-// Chrome-trace JSON (chrome://tracing, Perfetto), structured slog-based
-// run logging, and a run manifest that ties a command invocation to its
-// configuration, per-phase timings and final metric snapshot.
+// with deterministic JSON snapshots and Prometheus text exposition), a
+// phase tracer whose spans land in an in-memory ring buffer and can be
+// streamed as Chrome-trace JSON (chrome://tracing, Perfetto), structured
+// slog-based run logging, and a run manifest that ties a command
+// invocation to its configuration, per-phase timings and final metric
+// snapshot. DebugHandler is the one HTTP debug surface — pprof plus
+// /metrics — that nodevard mounts and the command-line tools serve on
+// -pprof. Readers of these formats, which only tests need, live in
+// obs/obstest.
 //
 // Everything is designed to cost nothing when disabled: the process-wide
 // tracer defaults to nil and every Span method on a nil tracer is a

@@ -1,4 +1,4 @@
-package obs
+package obs_test
 
 import (
 	"bytes"
@@ -7,13 +7,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nodevar/internal/obs"
+	"nodevar/internal/obs/obstest"
 )
 
 // goldenRegistry builds a registry exercising every exposition shape:
 // scalar counter/float counter/gauge, a histogram, and labelled families
 // including values that need escaping.
-func goldenRegistry() *Registry {
-	r := NewRegistry()
+func goldenRegistry() *obs.Registry {
+	r := obs.NewRegistry()
 	r.Counter("server.requests").Add(42)
 	r.FloatCounter("parallel.worker_busy_seconds").Add(1.5)
 	r.Gauge("server.inflight").Set(3)
@@ -73,11 +76,11 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	if err := goldenRegistry().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fams, err := ParsePrometheus(bytes.NewReader(buf.Bytes()))
+	fams, err := obstest.ParsePrometheus(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, buf.String())
 	}
-	if err := ValidatePrometheus(fams); err != nil {
+	if err := obstest.ValidatePrometheus(fams); err != nil {
 		t.Fatalf("validate: %v\n%s", err, buf.String())
 	}
 
@@ -146,36 +149,36 @@ h_bucket{le="+Inf"} 5
 h_count 5
 `,
 	} {
-		fams, err := ParsePrometheus(strings.NewReader(body))
+		fams, err := obstest.ParsePrometheus(strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("%s: parse: %v", name, err)
 		}
-		if err := ValidatePrometheus(fams); err == nil {
+		if err := obstest.ValidatePrometheus(fams); err == nil {
 			t.Errorf("%s: validator accepted a broken histogram", name)
 		}
 	}
 }
 
 func TestValidatePrometheusCatchesNaNAndNegativeCounter(t *testing.T) {
-	fams, err := ParsePrometheus(strings.NewReader("# TYPE c counter\nc NaN\n"))
+	fams, err := obstest.ParsePrometheus(strings.NewReader("# TYPE c counter\nc NaN\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidatePrometheus(fams); err == nil {
+	if err := obstest.ValidatePrometheus(fams); err == nil {
 		t.Error("NaN sample accepted")
 	}
-	fams, err = ParsePrometheus(strings.NewReader("# TYPE c counter\nc -1\n"))
+	fams, err = obstest.ParsePrometheus(strings.NewReader("# TYPE c counter\nc -1\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidatePrometheus(fams); err == nil {
+	if err := obstest.ValidatePrometheus(fams); err == nil {
 		t.Error("negative counter accepted")
 	}
 }
 
 func TestParsePrometheusAcceptsHelpAndTimestamps(t *testing.T) {
 	body := "# HELP g a gauge\n# TYPE g gauge\ng{x=\"y\"} 1.5 1700000000000\n"
-	fams, err := ParsePrometheus(strings.NewReader(body))
+	fams, err := obstest.ParsePrometheus(strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +195,7 @@ func TestSanitizeMetricName(t *testing.T) {
 		"weird-name/2":       "weird_name_2",
 		"9starts.with.digit": "_9starts_with_digit",
 	} {
-		if got := sanitizeMetricName(in); got != want {
+		if got := obs.SanitizeMetricName(in); got != want {
 			t.Errorf("sanitizeMetricName(%q) = %q, want %q", in, got, want)
 		}
 	}

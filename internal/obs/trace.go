@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -353,32 +351,4 @@ func WriteChromeTraceEvents(w io.Writer, evs []SpanEvent) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(chromeTrace{TraceEvents: out, DisplayTimeUnit: "ms"})
-}
-
-// ValidateChromeTrace parses r as Chrome-trace JSON and checks the
-// invariants WriteChromeTrace guarantees: at least one event, every
-// event a complete ("X") slice or instant ("i") mark with a name,
-// non-negative timestamps and durations, and positive pid/tid.
-func ValidateChromeTrace(r io.Reader) error {
-	var ct chromeTrace
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&ct); err != nil {
-		return fmt.Errorf("obs: invalid trace JSON: %w", err)
-	}
-	if len(ct.TraceEvents) == 0 {
-		return errors.New("obs: trace has no events")
-	}
-	for i, ev := range ct.TraceEvents {
-		switch {
-		case ev.Name == "":
-			return fmt.Errorf("obs: trace event %d has no name", i)
-		case ev.Ph != "X" && ev.Ph != "i":
-			return fmt.Errorf("obs: trace event %d (%s) has phase %q, want X or i", i, ev.Name, ev.Ph)
-		case ev.Ts < 0 || ev.Dur < 0:
-			return fmt.Errorf("obs: trace event %d (%s) has negative ts/dur", i, ev.Name)
-		case ev.Pid <= 0 || ev.Tid <= 0:
-			return fmt.Errorf("obs: trace event %d (%s) has non-positive pid/tid", i, ev.Name)
-		}
-	}
-	return nil
 }

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -111,35 +109,6 @@ func fixedTracer() *Tracer {
 	return tr
 }
 
-// TestChromeTraceGolden locks the emitted Chrome-trace JSON down to the
-// byte. Regenerate with UPDATE_GOLDEN=1 go test ./internal/obs.
-func TestChromeTraceGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := fixedTracer().WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "chrome_trace_golden.json")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with UPDATE_GOLDEN=1)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("chrome trace differs from golden:\ngot:\n%s\nwant:\n%s", buf.Bytes(), want)
-	}
-	// The golden trace must also satisfy the validator.
-	if err := ValidateChromeTrace(bytes.NewReader(want)); err != nil {
-		t.Errorf("golden trace fails validation: %v", err)
-	}
-}
-
 // TestChromeTraceLanes: overlapping spans land on distinct tids so
 // Perfetto renders them side by side instead of falsely nested.
 func TestChromeTraceLanes(t *testing.T) {
@@ -150,22 +119,6 @@ func TestChromeTraceLanes(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, `"tid": 2`) {
 		t.Errorf("overlapping spans share one lane:\n%s", out)
-	}
-}
-
-func TestValidateChromeTraceErrors(t *testing.T) {
-	cases := map[string]string{
-		"not json":     "{",
-		"no events":    `{"traceEvents":[]}`,
-		"no name":      `{"traceEvents":[{"ph":"X","pid":1,"tid":1}]}`,
-		"wrong phase":  `{"traceEvents":[{"name":"x","ph":"B","pid":1,"tid":1}]}`,
-		"negative dur": `{"traceEvents":[{"name":"x","ph":"X","dur":-1,"pid":1,"tid":1}]}`,
-		"zero pid":     `{"traceEvents":[{"name":"x","ph":"X","pid":0,"tid":1}]}`,
-	}
-	for name, in := range cases {
-		if err := ValidateChromeTrace(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: validation passed, want error", name)
-		}
 	}
 }
 
@@ -184,23 +137,5 @@ func TestPhaseTimings(t *testing.T) {
 	}
 	if pts[2].Name != "table2" || pts[2].Count != 1 {
 		t.Errorf("table2 aggregate wrong: %+v", pts[2])
-	}
-}
-
-// TestValidateTraceFile validates an externally produced trace file;
-// the make trace target runs cmd/repro with -trace-out and points this
-// test at the result via NODEVAR_TRACE_FILE.
-func TestValidateTraceFile(t *testing.T) {
-	path := os.Getenv("NODEVAR_TRACE_FILE")
-	if path == "" {
-		t.Skip("NODEVAR_TRACE_FILE not set (this test backs the make trace target)")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := ValidateChromeTrace(f); err != nil {
-		t.Fatalf("%s: %v", path, err)
 	}
 }

@@ -81,17 +81,3 @@ func TestSnapshotFlattensVecChildren(t *testing.T) {
 		t.Fatalf("flattened key missing or wrong: %v (keys %v)", got, snap.Counters)
 	}
 }
-
-func TestRegistryNamesIncludeVecFamilies(t *testing.T) {
-	r := NewRegistry()
-	r.CounterVec("zz.family", "l").With("v").Inc()
-	found := false
-	for _, n := range r.Names() {
-		if n == "zz.family" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("vec family missing from Names()")
-	}
-}

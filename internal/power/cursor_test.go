@@ -87,8 +87,8 @@ func TestCursorAverageBetweenMatchesTrace(t *testing.T) {
 			checkCursorAverage(t, c, g.At(i), math.Min(g.At(i)+bucket, end))
 		}
 	}
-	// Traces too short to integrate: equal bounds still read the point,
-	// anything else is ErrShortTrace, as on the trace itself.
+	// Traces too short to integrate: every window, equal bounds
+	// included, is ErrShortTrace, as on the trace itself.
 	one, err := NewTrace([]Sample{{Time: 5, Power: 120}})
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +96,47 @@ func TestCursorAverageBetweenMatchesTrace(t *testing.T) {
 	c := one.Cursor()
 	for _, w := range [][2]float64{{5, 5}, {3, 3}, {4, 6}, {6, 4}} {
 		checkCursorAverage(t, c, w[0], w[1])
+		if _, err := c.AverageBetween(w[0], w[1]); err != ErrShortTrace {
+			t.Errorf("window %v on a one-sample trace: error %v, want ErrShortTrace", w, err)
+		}
+	}
+}
+
+// TestAverageBetweenEqualBoundsValidated checks that an empty window is
+// validated like any other before it reads the point (the one-sample
+// cases are in TestCursorAverageBetweenMatchesTrace): on an empty trace
+// it is ErrShortTrace, not a panic, outside the span it is an error,
+// and only inside the span (to the 1e-9 tolerance) does it read At(a),
+// on the trace and on a cursor alike.
+func TestAverageBetweenEqualBoundsValidated(t *testing.T) {
+	empty, err := NewTrace(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := empty.AverageBetween(0, 0); err != ErrShortTrace {
+		t.Errorf("[0, 0] on an empty trace: error %v, want ErrShortTrace", err)
+	}
+
+	tr := randomTrace(rng.New(17), 50)
+	start, end := tr.Start(), tr.End()
+	for _, x := range []float64{start - 1, end + 1, start - 2e-9, end + 2e-9} {
+		if v, err := tr.AverageBetween(x, x); err == nil {
+			t.Errorf("[%v, %v] outside span [%v, %v] read %v with no error", x, x, start, end, v)
+		}
+		if v, err := tr.Cursor().AverageBetween(x, x); err == nil {
+			t.Errorf("cursor [%v, %v] outside span [%v, %v] read %v with no error", x, x, start, end, v)
+		}
+	}
+	for _, x := range []float64{start, start - 1e-10, end, end + 1e-10, tr.Samples()[7].Time, (start + end) / 2} {
+		want := tr.At(x)
+		for name, avg := range map[string]func(a, b float64) (Watts, error){
+			"trace": tr.AverageBetween, "cursor": tr.Cursor().AverageBetween,
+		} {
+			got, err := avg(x, x)
+			if err != nil || math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+				t.Errorf("%s [%v, %v]: %v, %v; want At = %v", name, x, x, got, err, want)
+			}
+		}
 	}
 }
 

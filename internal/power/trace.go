@@ -245,12 +245,12 @@ func (c *Cursor) At(x float64) Watts {
 // an ulp past the next bucket's start — only the cost depends on it.
 func (c *Cursor) AverageBetween(a, b float64) (Watts, error) {
 	t := c.t
-	if a == b {
-		return t.At(a), nil
-	}
 	a, b, err := t.window(a, b)
 	if err != nil {
 		return 0, err
+	}
+	if a == b {
+		return t.At(a), nil
 	}
 	c.count()
 	e := t.index()
@@ -297,18 +297,18 @@ func (t *Trace) window(a, b float64) (float64, float64, error) {
 }
 
 // AverageBetween returns the time-weighted average power over [a, b].
+// The window is validated as for EnergyBetween; an empty one in the
+// span reads the power at that instant.
 func (t *Trace) AverageBetween(a, b float64) (Watts, error) {
-	if a == b {
-		return t.At(a), nil
-	}
-	e, err := t.EnergyBetween(a, b)
+	a, b, err := t.window(a, b)
 	if err != nil {
 		return 0, err
 	}
-	if a > b {
-		a, b = b, a
+	if a == b {
+		return t.At(a), nil
 	}
-	return Watts(float64(e) / (b - a)), nil
+	e := t.index()
+	return Watts((t.energyTo(e, b) - t.energyTo(e, a)) / (b - a)), nil
 }
 
 // Average returns the time-weighted average power over the whole trace.

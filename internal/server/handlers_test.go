@@ -13,11 +13,12 @@ import (
 	"testing"
 
 	"nodevar/internal/obs"
+	"nodevar/internal/obs/obstest"
 	"nodevar/internal/sampling"
 )
 
 // readManifestFile parses path as a run manifest, enforcing manifest-v3
-// compatibility via obs.ReadManifest.
+// compatibility via obstest.ReadManifest.
 func readManifestFile(t *testing.T, path string) (*obs.Manifest, error) {
 	t.Helper()
 	f, err := os.Open(path)
@@ -25,7 +26,7 @@ func readManifestFile(t *testing.T, path string) (*obs.Manifest, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return obs.ReadManifest(f)
+	return obstest.ReadManifest(f)
 }
 
 // newTestServer mounts a fresh Server on an httptest server. Metric
@@ -272,9 +273,9 @@ func TestHandlerResults(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("ok")) {
 			t.Errorf("healthz: %d %s", resp.StatusCode, body)
 		}
-		resp, body = getURL(t, ts.URL+"/debug/metrics")
-		if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("server.requests")) {
-			t.Errorf("debug/metrics missing server counters: %d", resp.StatusCode)
+		resp, body = getURL(t, ts.URL+"/metrics")
+		if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("server_requests")) {
+			t.Errorf("/metrics missing server counters: %d", resp.StatusCode)
 		}
 	})
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"nodevar/internal/obs"
+	"nodevar/internal/obs/obstest"
 )
 
 // chromeTraceNames decodes a Chrome-trace JSON body into its event
@@ -63,7 +64,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	if tresp.StatusCode != http.StatusOK {
 		t.Fatalf("trace retrieval status %d: %s", tresp.StatusCode, tbody)
 	}
-	if err := obs.ValidateChromeTrace(bytes.NewReader(tbody)); err != nil {
+	if err := obstest.ValidateChromeTrace(bytes.NewReader(tbody)); err != nil {
 		t.Fatalf("retrieved trace invalid: %v", err)
 	}
 	names := chromeTraceNames(t, tbody)
@@ -138,7 +139,7 @@ func TestTraceEndpointErrors(t *testing.T) {
 }
 
 // TestMetricsEndpointScrapes asserts GET /metrics serves text exposition
-// format 0.0.4 that the in-repo parser accepts and that carries the
+// format 0.0.4 that the obstest parser accepts and that carries the
 // per-endpoint labelled series after traffic.
 func TestMetricsEndpointScrapes(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -151,11 +152,11 @@ func TestMetricsEndpointScrapes(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != obs.PromContentType {
 		t.Fatalf("/metrics content type %q", ct)
 	}
-	fams, err := obs.ParsePrometheus(bytes.NewReader(body))
+	fams, err := obstest.ParsePrometheus(bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("scrape does not parse: %v", err)
 	}
-	if err := obs.ValidatePrometheus(fams); err != nil {
+	if err := obstest.ValidatePrometheus(fams); err != nil {
 		t.Fatalf("scrape fails validation: %v", err)
 	}
 	for _, want := range []string{
@@ -174,6 +175,23 @@ func TestMetricsEndpointScrapes(t *testing.T) {
 	}
 	if !found {
 		t.Error("rules/2xx labelled sample missing from scrape")
+	}
+}
+
+// TestDebugSurface pins the one debug surface nodevard serves beside
+// its API: pprof and Prometheus text at /metrics, and nothing of the
+// JSON snapshot or expvar routes it used to carry.
+func TestDebugSurface(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for path, want := range map[string]int{
+		"/debug/pprof/":  http.StatusOK,
+		"/metrics":       http.StatusOK,
+		"/debug/metrics": http.StatusNotFound,
+		"/debug/vars":    http.StatusNotFound,
+	} {
+		if resp, _ := getURL(t, ts.URL+path); resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }
 

@@ -14,16 +14,15 @@
 // timeout wired into the CoverageStudyCtx cancellation stack (a study
 // abandoned by all of its waiters is canceled at its next chunk
 // boundary), and instruments everything through the internal/obs
-// registry, exported at /debug/metrics, /debug/vars and /debug/pprof.
+// registry. obs.DebugHandler serves that registry as Prometheus text at
+// /metrics, beside the pprof profiles under /debug/pprof/.
 package server
 
 import (
 	"context"
-	"expvar"
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,8 +33,8 @@ import (
 )
 
 // Serving metrics. Counters and gauges live in the process-wide obs
-// registry, so a nodevard manifest and /debug/metrics expose the same
-// names the CLI tools already emit.
+// registry, so a nodevard manifest and /metrics expose the same names
+// the CLI tools already emit.
 var (
 	mRequests       = obs.NewCounter("server.requests")
 	mShed           = obs.NewCounter("server.shed")
@@ -296,17 +295,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleLive)
 	mux.HandleFunc("GET /healthz/live", s.handleLive)
 	mux.HandleFunc("GET /healthz/ready", s.handleReady)
-	mux.Handle("GET /metrics", obs.PromHandler())
-	mux.HandleFunc("GET /debug/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		obs.Default().Snapshot().WriteJSON(w)
-	})
-	obs.PublishExpvar()
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	debug := obs.DebugHandler()
+	mux.Handle("GET /metrics", debug)
+	mux.Handle("GET /debug/pprof/", debug)
 	return mux
 }
